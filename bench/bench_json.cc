@@ -157,8 +157,8 @@ BenchResult HintFiltering(uint64_t iters, int repeats) {
 // configuration micro_bench's BM_EndToEndExperiment uses at scale 0.1).
 // Reports the simulator's event throughput — the number the event-queue work
 // exists to move — and the honest work rate (pages touched per wall second),
-// which is invariant under op batching: fusing touch runs shrinks sim_events
-// but cannot shrink the pages the program touches.
+// which is invariant under batching: inline dispatch shrinks sim_events but
+// cannot shrink the pages the program touches.
 struct EndToEndResult {
   double wall_s = 0;
   uint64_t sim_events = 0;
@@ -367,7 +367,7 @@ int main(int argc, char** argv) {
   results.push_back(tmh::HintFiltering(100000, 5));
   const tmh::EndToEndResult e2e = tmh::Fig07StyleRun(3);
   // Larger-scale leg of the same configuration: more pages, longer steady
-  // state, so run-fusion and dispatch fast paths dominate setup costs.
+  // state, so the steady-state paths dominate setup costs.
   const tmh::EndToEndResult e2e_large =
       tmh::Fig07StyleRun(2, /*monitor=*/false, /*scale=*/0.25);
   const tmh::EndToEndResult monitor_e2e = tmh::Fig07StyleRun(3, /*monitor=*/true);

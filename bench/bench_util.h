@@ -13,9 +13,11 @@
 #ifndef TMH_BENCH_BENCH_UTIL_H_
 #define TMH_BENCH_BENCH_UTIL_H_
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -29,10 +31,6 @@ namespace tmh {
 struct BenchArgs {
   double scale = 1.0;
   int jobs = 0;  // sweep worker threads; 0 = all cores
-  // --no-fuse: run the interpreter's unfused per-touch path. The fused and
-  // unfused streams are bit-for-bit equivalent, so every table must come out
-  // byte-identical either way — the golden_*_runpath_identical tests pin that.
-  bool fuse_touch_runs = true;
   // --tiers N: total memory tiers. 1 is the degenerate {DRAM} config, which
   // must leave every table byte-identical to the tierless default (the
   // golden_*_tiers1_identical tests pin that); N > 1 adds N-1 slow tiers of
@@ -40,43 +38,52 @@ struct BenchArgs {
   int tiers = 0;
 };
 
+// Strict numeric arguments: true only if all of `text` is one number.
+// (atoi/atof stop at the first bad character, so they read "2x" as 2.)
+inline bool ParseWholeLong(const char* text, long* value) {
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtol(text, &end, 10);
+  return end != text && *end == '\0' && errno == 0;
+}
+inline bool ParseWholeDouble(const char* text, double* value) {
+  char* end = nullptr;
+  errno = 0;
+  *value = std::strtod(text, &end);
+  return end != text && *end == '\0' && errno == 0;
+}
+
+// Bad input exits with status 2 and a message naming the argument.
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   bool have_scale = false;
+  // The value after the flag at argv[i], as an integer in [lo, hi].
+  auto int_flag = [&](int& i, long lo, long hi, const char* range) {
+    const char* flag = argv[i];
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s requires a value\n", flag);
+      std::exit(2);
+    }
+    long value = 0;
+    if (!ParseWholeLong(argv[++i], &value) || value < lo || value > hi) {
+      std::fprintf(stderr, "%s must be %s; got '%s'\n", flag, range, argv[i]);
+      std::exit(2);
+    }
+    return static_cast<int>(value);
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--no-fuse") == 0) {
-      args.fuse_touch_runs = false;
-    } else if (std::strcmp(argv[i], "--tiers") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--tiers requires a value\n");
-        std::exit(2);
-      }
-      args.tiers = std::atoi(argv[++i]);
-      if (args.tiers < 1 || args.tiers > 4) {
-        std::fprintf(stderr, "--tiers must be in [1, 4]; got %s\n", argv[i]);
-        std::exit(2);
-      }
+    if (std::strcmp(argv[i], "--tiers") == 0) {
+      args.tiers = int_flag(i, 1, 4, "an integer in [1, 4]");
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "--jobs requires a value\n");
-        std::exit(2);
-      }
-      args.jobs = std::atoi(argv[++i]);
-      if (args.jobs < 0) {
-        std::fprintf(stderr, "--jobs must be >= 0; got %s\n", argv[i]);
-        std::exit(2);
-      }
+      args.jobs = int_flag(i, 0, std::numeric_limits<int>::max(), "an integer >= 0");
     } else if (!have_scale) {
-      args.scale = std::atof(argv[i]);
-      have_scale = true;
-      if (args.scale <= 0.0 || args.scale > 1.0) {
-        std::fprintf(stderr, "scale must be in (0, 1]; got %s\n", argv[i]);
+      if (!ParseWholeDouble(argv[i], &args.scale) || !(args.scale > 0.0 && args.scale <= 1.0)) {
+        std::fprintf(stderr, "scale must be a number in (0, 1]; got '%s'\n", argv[i]);
         std::exit(2);
       }
+      have_scale = true;
     } else {
-      std::fprintf(stderr,
-                   "unexpected argument '%s' (usage: [scale] [--jobs N] [--no-fuse] "
-                   "[--tiers N])\n",
+      std::fprintf(stderr, "unexpected argument '%s' (usage: [scale] [--jobs N] [--tiers N])\n",
                    argv[i]);
       std::exit(2);
     }
@@ -110,15 +117,13 @@ inline void ApplyTierGeometry(MachineConfig& config, int total_tiers) {
 // The spec RunBench builds, exposed so grids can be batched onto a
 // SweepRunner instead of run one at a time.
 inline ExperimentSpec BenchSpec(const WorkloadInfo& info, double scale, AppVersion version,
-                                bool with_interactive, SimDuration sleep = 5 * kSec,
-                                bool fuse_touch_runs = true) {
+                                bool with_interactive, SimDuration sleep = 5 * kSec) {
   ExperimentSpec spec;
   spec.machine = BenchMachine(scale);
   spec.workload = info.factory(scale);
   spec.version = version;
   spec.with_interactive = with_interactive;
   spec.interactive.sleep_time = sleep;
-  spec.fuse_touch_runs = fuse_touch_runs;
   return spec;
 }
 

@@ -44,9 +44,7 @@ int main(int argc, char** argv) {
     }
     for (const tmh::AppVersion version : kVersions) {
       for (const auto& geometry : kGeometries) {
-        specs.push_back(tmh::BenchSpec(*info, args.scale, version,
-                                       /*with_interactive=*/true,
-                                       /*sleep=*/5 * tmh::kSec, args.fuse_touch_runs));
+        specs.push_back(tmh::BenchSpec(*info, args.scale, version, /*with_interactive=*/true));
         tmh::ApplyTierGeometry(specs.back().machine, geometry.total_tiers);
         labels.push_back(std::string(info->name) + "/" +
                          tmh::VersionLabel(version) + "/" + geometry.label);

@@ -19,8 +19,7 @@ int main(int argc, char** argv) {
   std::vector<std::string> labels;
   for (const tmh::WorkloadInfo& info : tmh::AllWorkloads()) {
     for (const tmh::AppVersion version : tmh::AllVersions()) {
-      specs.push_back(tmh::BenchSpec(info, args.scale, version, /*with_interactive=*/false,
-                                     /*sleep=*/5 * tmh::kSec, args.fuse_touch_runs));
+      specs.push_back(tmh::BenchSpec(info, args.scale, version, /*with_interactive=*/false));
       tmh::ApplyTierGeometry(specs.back().machine, args.tiers);
       labels.push_back(info.name + "/" + tmh::VersionLabel(version));
     }

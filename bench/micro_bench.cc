@@ -5,7 +5,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
 #include "src/compiler/compile.h"
@@ -277,94 +276,6 @@ void BM_RuntimeBufferedDrain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_RuntimeBufferedDrain);
-
-// Emits fused kTouchRun ops (one unit-stride read stream, `steps` pages per
-// run) over a cyclic window of `pages`, after an optional per-page warm-up
-// phase that makes the whole range resident. The descriptor and cost array
-// are reused across ops, exactly as the interpreter reuses its own.
-class TouchRunProgram : public Program {
- public:
-  TouchRunProgram(int64_t pages, int64_t steps, int64_t runs, bool warm)
-      : pages_(pages), steps_(steps), runs_left_(runs), warm_left_(warm ? pages : 0) {
-    costs_.assign(static_cast<size_t>(steps), 100);
-    desc_.num_refs = 1;
-    desc_.refs[0] = TouchRunRef{0, 1, false};
-    desc_.steps = steps_;
-    desc_.step_cost = costs_.data();
-  }
-
-  Op Next(Kernel& kernel) override {
-    (void)kernel;
-    if (warm_left_ > 0) {
-      return Op::Touch(pages_ - warm_left_--, /*write=*/false, 0);
-    }
-    if (runs_left_ == 0) {
-      return Op::Exit();
-    }
-    --runs_left_;
-    desc_.refs[0].base = next_base_;
-    desc_.next_step = 0;
-    desc_.next_ref = 0;
-    next_base_ += steps_;
-    if (next_base_ + steps_ > pages_) {
-      next_base_ = 0;
-    }
-    return Op::TouchRun(&desc_);
-  }
-
- private:
-  const int64_t pages_;
-  const int64_t steps_;
-  int64_t runs_left_;
-  int64_t warm_left_;
-  VPage next_base_ = 0;
-  TouchRunDesc desc_;
-  std::vector<SimDuration> costs_;
-};
-
-void BM_TouchRunResident(benchmark::State& state) {
-  // DoTouchRun's bulk path: every page of the span is resident-and-valid, so
-  // the kernel validates word-parallel and charges the run in one step. The
-  // range is made resident once up front; items = pages validated per run.
-  const int64_t pages = 16384;  // 64 MB of 4K pages on the default machine
-  const int64_t steps = 64;
-  const int64_t runs = 1024;
-  MachineConfig machine;
-  Kernel kernel(machine);
-  AddressSpace* as =
-      kernel.CreateAddressSpace("as", pages * machine.page_size_bytes);
-  as->AddRegion(Region{"data", 0, pages, Backing::kZeroFill});
-  TouchRunProgram warm(pages, steps, /*runs=*/0, /*warm=*/true);
-  kernel.RunUntilThreadsDone({kernel.Spawn("warm", as, &warm)});
-  std::vector<std::unique_ptr<TouchRunProgram>> programs;
-  for (auto _ : state) {
-    programs.push_back(
-        std::make_unique<TouchRunProgram>(pages, steps, runs, /*warm=*/false));
-    kernel.RunUntilThreadsDone({kernel.Spawn("t", as, programs.back().get())});
-    state.SetItemsProcessed(state.items_processed() + runs * steps);
-  }
-}
-BENCHMARK(BM_TouchRunResident)->Unit(benchmark::kMicrosecond);
-
-void BM_TouchRunFaulting(benchmark::State& state) {
-  // The degraded path: nothing is resident, so the word check fails on the
-  // first step and every run is replayed page by page through the zero-fill
-  // fault path. Guards the fallback's cursor plumbing and the fault hot path.
-  const int64_t pages = 4096;  // 16 MB; each iteration faults every page once
-  const int64_t steps = 64;
-  MachineConfig machine;
-  machine.user_memory_bytes = 32 * 1024 * 1024;
-  for (auto _ : state) {
-    Kernel kernel(machine);
-    AddressSpace* as =
-        kernel.CreateAddressSpace("as", pages * machine.page_size_bytes);
-    as->AddRegion(Region{"data", 0, pages, Backing::kZeroFill});
-    TouchRunProgram program(pages, steps, /*runs=*/pages / steps, /*warm=*/false);
-    kernel.RunUntilThreadsDone({kernel.Spawn("t", as, &program)});
-    state.SetItemsProcessed(state.items_processed() + pages);
-  }
-}
-BENCHMARK(BM_TouchRunFaulting)->Unit(benchmark::kMicrosecond);
 
 void BM_EndToEndExperiment(benchmark::State& state) {
   // A small but complete experiment: compiler + runtime + kernel + disks.

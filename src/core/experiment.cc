@@ -158,7 +158,6 @@ LaunchedApp LaunchApp(Kernel& kernel, const MachineConfig& machine, const MultiA
     }
   }
   app.interp = std::make_unique<Interpreter>(app.compiled.get(), app.as, app.runtime.get());
-  app.interp->set_fuse_touch_runs(spec.fuse_touch_runs);
   Program* program = app.interp.get();
   if (spec.start_delay > 0) {
     app.delayed = std::make_unique<DelayedProgram>(spec.start_delay, program);
@@ -303,8 +302,8 @@ MultiExperimentResult RunMultiExperiment(const MultiExperimentSpec& spec,
 ExperimentResult RunExperiment(const ExperimentSpec& spec, CompileCache* compile_cache) {
   MultiExperimentSpec multi;
   multi.machine = spec.machine;
-  multi.apps.push_back(MultiAppSpec{spec.workload, spec.version, spec.runtime, spec.adaptive,
-                                    spec.oracle, spec.fuse_touch_runs});
+  multi.apps.push_back(
+      MultiAppSpec{spec.workload, spec.version, spec.runtime, spec.adaptive, spec.oracle});
   multi.with_interactive = spec.with_interactive;
   multi.interactive = spec.interactive;
   multi.max_events = spec.max_events;

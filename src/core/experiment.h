@@ -70,11 +70,6 @@ struct ExperimentSpec {
   bool adaptive = false;
   // Hand-tuned oracle: compile with perfect knowledge (see CompileOptions).
   bool oracle = false;
-  // Interpreter run fusion (batched kTouchRun ops, word-checked by the
-  // kernel). A run-time toggle, not a compile option, so the CompileCache can
-  // keep sharing programs across both settings; differential tests force it
-  // off to compare the fused and unfused streams.
-  bool fuse_touch_runs = true;
   // Structured observability: record typed kernel events and metrics
   // histograms; retrieve them from ExperimentResult::event_log/metrics_text.
   bool observe = false;
@@ -149,8 +144,6 @@ struct MultiAppSpec {
   RuntimeOptions runtime;
   bool adaptive = false;
   bool oracle = false;
-  // Interpreter run fusion (see ExperimentSpec::fuse_touch_runs).
-  bool fuse_touch_runs = true;
   // Tenant arrival time: the app's address space exists from t=0 but its
   // thread sleeps this long before executing its first instruction. Several
   // apps sharing one nonzero delay spike together (a pressure storm);

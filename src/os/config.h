@@ -99,13 +99,6 @@ struct TierSpec {
 
 struct MachineConfig {
   int num_cpus = 4;
-  // Scheduler fast path: when a CPU frees up and no other event is pending at
-  // the current instant, dispatch the next runnable thread inline instead of
-  // scheduling a zero-delay event. Order-identical to the queued path (same
-  // FIFO, same timestamps); exposed as a toggle so differential tests can
-  // force the historical event-per-dispatch behavior. Checked runs always use
-  // the queued path (the checker needs a quiescent point between events).
-  bool inline_dispatch = true;
   // Memory nodes (NUMA-style shards). The frame range is partitioned
   // contiguously; each node gets its own free list and paging-daemon clock
   // hand. 1 (the paper's single-node Origin 200) reproduces the historical

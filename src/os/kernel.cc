@@ -308,7 +308,7 @@ void Kernel::TryDispatch() {
   // same-time events (which must then run before any further dispatch).
   // A fired stop hint forces the queued path: RunUntilDone's predicate must
   // get its between-events check before the slice runs.
-  if (config_.inline_dispatch && !in_slice_ && TMH_LIKELY(checker_ == nullptr)) {
+  if (!in_slice_ && TMH_LIKELY(checker_ == nullptr)) {
     while (busy_cpus_ < config_.num_cpus && !run_queue_.empty() &&
            queue_.NextEventTime(Now() + 1) > Now() && !StopHintFires()) {
       Thread* t = run_queue_.front();
@@ -344,9 +344,7 @@ void Kernel::RunSlice(Thread* t) {
   SimDuration elapsed = 0;
   for (int ops = 0; ops < kMaxOpsPerSlice; ++ops) {
     if (!t->has_pending_) {
-      slice_budget_left_ = budget - elapsed;
       t->pending_op_ = t->program_->Next(*this);
-      slice_budget_left_ = 0;
       t->has_pending_ = true;
     }
     if (t->pending_op_.kind == Op::Kind::kExit) {
@@ -364,16 +362,9 @@ void Kernel::RunSlice(Thread* t) {
       EndSlice(t, elapsed, /*requeue=*/true);
       return;
     }
-    const ExecResult result = ExecuteOp(t, &elapsed, budget, &ops);
-    if (result == ExecResult::kBlocked) {
+    if (ExecuteOp(t, &elapsed) == ExecResult::kBlocked) {
       in_slice_ = false;
       EndSlice(t, elapsed, /*requeue=*/false);
-      return;
-    }
-    if (result == ExecResult::kPreempted) {
-      // Mid-run preemption: the op stays pending and resumes from its cursor.
-      in_slice_ = false;
-      EndSlice(t, elapsed, /*requeue=*/true);
       return;
     }
     t->has_pending_ = false;
@@ -472,8 +463,7 @@ void Kernel::Charge(Thread* t, SimDuration* elapsed, SimDuration d,
   *elapsed += d;
 }
 
-Kernel::ExecResult Kernel::ExecuteOp(Thread* t, SimDuration* elapsed, SimDuration budget,
-                                     int* ops) {
+Kernel::ExecResult Kernel::ExecuteOp(Thread* t, SimDuration* elapsed) {
   Op& op = t->pending_op_;
   switch (op.kind) {
     case Op::Kind::kCompute:
@@ -481,8 +471,6 @@ Kernel::ExecResult Kernel::ExecuteOp(Thread* t, SimDuration* elapsed, SimDuratio
       return ExecResult::kCompleted;
     case Op::Kind::kTouch:
       return DoTouch(t, op, elapsed);
-    case Op::Kind::kTouchRun:
-      return DoTouchRun(t, op, elapsed, budget, ops);
     case Op::Kind::kSleep: {
       Block(t, Thread::BlockReason::kSleep, *elapsed);
       queue_.ScheduleAt(Now() + *elapsed + op.duration, [this, t]() { Wake(t); });
@@ -576,7 +564,6 @@ void Kernel::MapFrame(AddressSpace* as, VPage vpage, FrameId f, bool validate) {
   pte.valid = validate;
   pte.invalid_reason = validate ? InvalidReason::kNone : InvalidReason::kFreshPrefetch;
   pte.ever_materialized = true;
-  as->page_table().SyncValid(vpage);
   frames_.set_mapped(f, true);
   frames_.set_contents_valid(f, true);
   frames_.set_freed_by(f, FreedBy::kNone);
@@ -595,7 +582,6 @@ void Kernel::UnmapFrame(AddressSpace* as, VPage vpage, FreedBy freed_by) {
   pte.resident = false;
   pte.valid = false;
   pte.invalid_reason = InvalidReason::kNone;
-  as->page_table().SyncValid(vpage);
   // pte.frame intentionally kept: it is the rescue link.
   frames_.set_mapped(f, false);
   frames_.set_referenced(f, false);
@@ -849,8 +835,7 @@ void Kernel::MaybeNotifySharedHeaders() {
 Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
   AddressSpace* as = op.as != nullptr ? op.as : t->as_;
   assert(as != nullptr);
-  PageTable& pt = as->page_table();
-  Pte& pte = pt.at(op.vpage);
+  Pte& pte = as->page_table().at(op.vpage);
   MemoryLock& lock = as->memory_lock();
   const CostModel& costs = config_.costs;
 
@@ -934,7 +919,6 @@ Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
     }
     pte.valid = true;
     pte.invalid_reason = InvalidReason::kNone;
-    pt.SyncValid(op.vpage);
     frames_.set_referenced(pte.frame, true);
     Hook(VmHookOp::kValidate, as->id(), op.vpage, pte.frame,
          static_cast<int64_t>(old_reason));
@@ -1101,108 +1085,6 @@ Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
     Wake(t);
   });
   return ExecResult::kBlocked;
-}
-
-// --- fused touch runs (kTouchRun) ----------------------------------------------
-
-Kernel::ExecResult Kernel::DoTouchRun(Thread* t, Op& op, SimDuration* elapsed,
-                                      SimDuration budget, int* ops) {
-  TouchRunDesc& run = *op.run;
-  AddressSpace* as = op.as != nullptr ? op.as : t->as_;
-  assert(as != nullptr);
-  PageTable& pt = as->page_table();
-  MemoryLock& lock = as->memory_lock();
-
-  if (run.next_step >= run.steps) {
-    return ExecResult::kCompleted;  // resumed after the last step's preemption
-  }
-
-  // Bulk path: prove every page of every stream resident-and-valid with word
-  // scans of the page table's touchable plane, then charge the whole run in
-  // one step. Equivalent to the per-step replay below because a valid-PTE
-  // touch mutates no kernel state except a write's dirty bit (order-free), so
-  // validating up front and aggregating the charges commutes — and the
-  // planner already proved steps 0..N-2 fit this slice's budget, so only the
-  // final step can overrun, exactly as its unfused compute op would have.
-  // Degrades to the exact replay whenever an observer needs the per-op
-  // narration (checker, monitor, event log), a fault/lock/cursor is in
-  // flight, or the slice's op cap would land mid-run (the unfused stream
-  // would have been preempted there, so replay it op by op).
-  if (TMH_LIKELY(checker_ == nullptr && monitor_ == nullptr && !observing_) &&
-      run.next_step == 0 && run.next_ref == 0 &&
-      t->fault_phase_ == Thread::FaultPhase::kNone && !lock.IsHeldBy(t) &&
-      *ops + run.steps * (run.num_refs + 1) < kMaxOpsPerSlice) {
-    bool all_valid = true;
-    for (int32_t r = 0; r < run.num_refs && all_valid; ++r) {
-      const TouchRunRef& ref = run.refs[r];
-      if (TMH_LIKELY(ref.page_stride == 1)) {
-        all_valid = pt.AllValid(ref.base, run.steps);
-      } else {
-        for (int64_t s = 0; s < run.steps; ++s) {
-          const Pte& pte = pt.at(ref.base + s * ref.page_stride);
-          if (!(pte.resident && pte.valid)) {
-            all_valid = false;
-            break;
-          }
-        }
-      }
-    }
-    if (all_valid) {
-      SimDuration total =
-          run.steps * run.num_refs * config_.costs.touch_hit;
-      for (int64_t s = 0; s < run.steps; ++s) {
-        total += run.step_cost[s];
-      }
-      Charge(t, elapsed, total, &TimeBreakdown::user);
-      for (int32_t r = 0; r < run.num_refs; ++r) {
-        const TouchRunRef& ref = run.refs[r];
-        if (!ref.is_write) {
-          continue;
-        }
-        for (int64_t s = 0; s < run.steps; ++s) {
-          MarkDirty(pt.at(ref.base + s * ref.page_stride).frame);
-        }
-      }
-      *ops += static_cast<int>(run.steps * (run.num_refs + 1) - 1);
-      run.next_step = run.steps;
-      ++stats_.touch_runs_bulk;
-      return ExecResult::kCompleted;
-    }
-  }
-  if (run.next_step == 0 && run.next_ref == 0) {
-    ++stats_.touch_runs_replayed;
-  }
-
-  // Exact per-step replay: each step is num_refs touches followed by one
-  // compute charge, with the same post-op budget/op-cap checks the unfused
-  // stream would see. A blocking touch leaves the cursor on the blocked ref
-  // so the fault resumption re-enters DoTouch with the identical page.
-  while (run.next_step < run.steps) {
-    while (run.next_ref < run.num_refs) {
-      const TouchRunRef& ref = run.refs[run.next_ref];
-      Op touch =
-          Op::Touch(ref.base + run.next_step * ref.page_stride, ref.is_write, 0);
-      touch.as = as;
-      const ExecResult result = DoTouch(t, touch, elapsed);
-      if (result == ExecResult::kBlocked) {
-        return ExecResult::kBlocked;
-      }
-      ++run.next_ref;
-      if (++*ops >= kMaxOpsPerSlice || *elapsed >= budget) {
-        return ExecResult::kPreempted;
-      }
-    }
-    Charge(t, elapsed, run.step_cost[run.next_step], &TimeBreakdown::user);
-    run.next_ref = 0;
-    ++run.next_step;
-    if (run.next_step >= run.steps) {
-      return ExecResult::kCompleted;
-    }
-    if (++*ops >= kMaxOpsPerSlice || *elapsed >= budget) {
-      return ExecResult::kPreempted;
-    }
-  }
-  return ExecResult::kCompleted;
 }
 
 // --- PagingDirected prefetch (kPrefetch) ---------------------------------------
@@ -1401,7 +1283,6 @@ Kernel::ExecResult Kernel::DoRelease(Thread* t, Op& op, SimDuration* elapsed) {
     }
     pte.valid = false;
     pte.invalid_reason = InvalidReason::kReleasePending;
-    as->page_table().SyncValid(p);
     release_work_.push_back(ReleaseWorkItem{as, p, depth});
     if (TMH_UNLIKELY(observing_)) {
       event_log_.Record(Now(), KernelEventType::kReleaseEnqueue, t->id(), as->id(), p);
@@ -1443,7 +1324,6 @@ bool Kernel::MonitorSamplePage(AddressSpace* as, VPage vpage) {
   // access. The resident bitmap bit stays set — the page is still resident.
   pte.valid = false;
   pte.invalid_reason = InvalidReason::kMonitorSampled;
-  as->page_table().SyncValid(vpage);
   frames_.set_referenced(pte.frame, false);
   ++stats_.monitor_invalidations;
   ++as->stats().invalidations_received;
@@ -1470,7 +1350,6 @@ bool Kernel::MonitorEnqueueRelease(AddressSpace* as, VPage vpage, int32_t depth)
   }
   pte.valid = false;
   pte.invalid_reason = InvalidReason::kReleasePending;
-  as->page_table().SyncValid(vpage);
   release_work_.push_back(ReleaseWorkItem{as, vpage, depth});
   if (TMH_UNLIKELY(observing_)) {
     event_log_.Record(Now(), KernelEventType::kReleaseEnqueue, /*thread=*/0, as->id(), vpage);

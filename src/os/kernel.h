@@ -70,8 +70,6 @@ struct KernelStats {
   uint64_t monitor_soft_faults = 0;       // revalidations of monitor samples
   uint64_t monitor_releases_enqueued = 0; // releases queued by the schemes engine
   uint64_t monitor_pages_protected = 0;   // reference bits re-set for hot regions
-  uint64_t touch_runs_bulk = 0;      // fused kTouchRun ops validated & charged whole
-  uint64_t touch_runs_replayed = 0;  // fused ops degraded to the per-touch replay
   uint64_t tier_demotions = 0;       // releases that migrated a page to a slow tier
   uint64_t tier_promotions = 0;      // touches that migrated a page back to DRAM
   uint64_t tier_evictions = 0;       // tier-capacity evictions (cascade or to disk)
@@ -177,12 +175,6 @@ class Kernel {
   [[nodiscard]] SimTime Now() const { return queue_.Now(); }
   [[nodiscard]] EventQueue& event_queue() { return queue_; }
 
-  // CPU time the calling Program's current slice can still consume before the
-  // scheduler preempts it. Valid during Program::Next (zero outside a slice);
-  // run-fusing programs cap a fused run's worst-case cost below this so the
-  // run never has to split across slices.
-  [[nodiscard]] SimDuration SliceBudgetRemaining() const { return slice_budget_left_; }
-
   // --- introspection ----------------------------------------------------------
 
   [[nodiscard]] const MachineConfig& config() const { return config_; }
@@ -270,10 +262,7 @@ class Kernel {
   friend class PagingDaemon;
   friend class Releaser;
 
-  // kPreempted: the op consumed the slice's budget (or op cap) part-way
-  // through a fused touch run; the thread keeps the op pending and resumes it
-  // from the run's cursor in its next slice.
-  enum class ExecResult : uint8_t { kCompleted, kBlocked, kExited, kPreempted };
+  enum class ExecResult : uint8_t { kCompleted, kBlocked };
 
   // Schedules the recurring paging-daemon timer tick.
   void DaemonTickChain(SimDuration period);
@@ -286,13 +275,9 @@ class Kernel {
   void Block(Thread* t, Thread::BlockReason reason, SimDuration elapsed);
   void Wake(Thread* t);
 
-  // Op execution. `budget` and `ops` carry the current slice's remaining
-  // allowance into multi-step ops (kTouchRun) so their internal per-step
-  // boundaries match the unfused per-op stream exactly.
-  ExecResult ExecuteOp(Thread* t, SimDuration* elapsed, SimDuration budget, int* ops);
+  // Op execution.
+  ExecResult ExecuteOp(Thread* t, SimDuration* elapsed);
   ExecResult DoTouch(Thread* t, Op& op, SimDuration* elapsed);
-  ExecResult DoTouchRun(Thread* t, Op& op, SimDuration* elapsed, SimDuration budget,
-                        int* ops);
   ExecResult DoPrefetch(Thread* t, Op& op, SimDuration* elapsed);
   ExecResult DoRelease(Thread* t, Op& op, SimDuration* elapsed);
   // Acquires `lock` for `t` or blocks it. Returns true when the lock is held.
@@ -385,10 +370,6 @@ class Kernel {
   // would reorder the woken thread's execution ahead of already-pending
   // events.
   bool in_slice_ = false;
-  // Budget the currently-running slice has left before its next op starts.
-  // Programs read this (via SliceBudgetRemaining) to size fused touch runs so
-  // a run planned now is guaranteed to fit the slice it executes in.
-  SimDuration slice_budget_left_ = 0;
   // Bumped on every thread transition into State::kDone. RunUntilThreadsDone
   // gates its (otherwise per-event) predicate re-evaluation on this counter.
   uint64_t done_generation_ = 1;

@@ -229,7 +229,6 @@ SimDuration PagingDaemon::ProcessBatch() {
       if (pte.invalid_reason != InvalidReason::kReleasePending) {
         pte.invalid_reason = InvalidReason::kDaemonInvalidated;
       }
-      batch_as_->page_table().SyncValid(vpage);
       frames.set_referenced(f, false);
       ++k.stats_.daemon_invalidations;
       ++batch_as_->stats().invalidations_received;

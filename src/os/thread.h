@@ -60,42 +60,11 @@ class WaitQueue {
   uint64_t pending_signals_ = 0;
 };
 
-// One access stream of a fused touch run: at step s the stream references page
-// `base + s * page_stride` (write iff `is_write`). A run descriptor bundles the
-// streams of one innermost-loop span whose refs all cross pages in lockstep.
-struct TouchRunRef {
-  VPage base = kNoVPage;
-  int64_t page_stride = 1;  // pages advanced per step (>= 1)
-  bool is_write = false;
-};
-
-// Descriptor for a fused run of `steps` interpreter steps. Each step touches
-// one page per ref and then burns `step_cost[s]` of user compute time — the
-// exact per-op stream the interpreter would otherwise emit as
-// (num_refs x kTouch + 1 x kCompute) per step. The kernel executes the whole
-// run word-parallel when every page is resident-and-valid, and otherwise
-// replays it step by step through DoTouch, resuming from the (next_step,
-// next_ref) cursor after a blocking fault or a slice preemption. The emitting
-// Program owns the descriptor (and the step_cost array) and must keep both
-// alive until the op completes; Next() is only called after full completion,
-// so a single reusable buffer per program suffices.
-struct TouchRunDesc {
-  static constexpr int kMaxRefs = 4;
-  TouchRunRef refs[kMaxRefs];
-  int32_t num_refs = 0;
-  int64_t steps = 0;
-  const SimDuration* step_cost = nullptr;  // [steps] user time per step
-  // Resume cursor, advanced by the kernel's per-step fallback path.
-  int64_t next_step = 0;
-  int32_t next_ref = 0;
-};
-
 // One operation emitted by a Program.
 struct Op {
   enum class Kind : uint8_t {
     kCompute,      // burn `duration` of user time
     kTouch,        // reference page `vpage` of `as`, then burn `duration` user time
-    kTouchRun,     // execute the fused touch run described by `run`
     kSleep,        // leave the CPU for `duration` (interactive think time)
     kPrefetch,     // PagingDirected prefetch of `vpage` (blocks until page arrives)
     kRelease,      // PagingDirected release of [vpage, vpage+count), non-blocking
@@ -116,14 +85,10 @@ struct Op {
   WaitQueue* wait = nullptr;
   MemoryLock* lock = nullptr;
   AddressSpace* as = nullptr;  // target address space (defaults to thread's own)
-  TouchRunDesc* run = nullptr;  // touch-run: descriptor owned by the Program
 
   static Op Compute(SimDuration d) { return Op{.kind = Kind::kCompute, .duration = d}; }
   static Op Touch(VPage p, bool write, SimDuration d) {
     return Op{.kind = Kind::kTouch, .duration = d, .vpage = p, .is_write = write};
-  }
-  static Op TouchRun(TouchRunDesc* desc) {
-    return Op{.kind = Kind::kTouchRun, .run = desc};
   }
   static Op Sleep(SimDuration d) { return Op{.kind = Kind::kSleep, .duration = d}; }
   static Op Prefetch(VPage p) { return Op{.kind = Kind::kPrefetch, .vpage = p}; }

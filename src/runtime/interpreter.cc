@@ -12,18 +12,19 @@ Interpreter::Interpreter(const CompiledProgram* program, AddressSpace* as, Runti
 }
 
 Op Interpreter::Next(Kernel& kernel) {
+  (void)kernel;
   while (pending_head_ == pending_.size()) {
     pending_.clear();
     pending_head_ = 0;
     if (done_) {
       return Op::Exit();
     }
-    Step(kernel);
+    Step();
   }
   return pending_[pending_head_++];
 }
 
-void Interpreter::Step(Kernel& kernel) {
+void Interpreter::Step() {
   if (!in_nest_) {
     if (nest_idx_ >= prog_->nests.size()) {
       nest_idx_ = 0;
@@ -37,7 +38,7 @@ void Interpreter::Step(Kernel& kernel) {
     EnterNest();
     return;
   }
-  RunIterations(kernel);
+  RunIterations();
 }
 
 void Interpreter::EnterNest() {
@@ -212,176 +213,7 @@ void Interpreter::FireEveryIterationDirectives(int64_t run, std::vector<Op>& sys
   }
 }
 
-bool Interpreter::TryFusedRun(Kernel& kernel) {
-  const CompiledNest& compiled = *active_nest_;
-  const LoopNest& nest = compiled.nest;
-  const Loop& inner = nest.loops.back();
-  const int64_t run = RunLength();
-  const int64_t remaining = (inner.upper - ivs_.back() + inner.step - 1) / inner.step;
-  // Full-run steps guaranteed to stay inside this inner-loop pass. The step
-  // that completes the pass (possibly shorter, and followed by the odometer
-  // cascade) is excluded so the span never wraps an outer loop.
-  int64_t max_steps = remaining / run - (remaining % run == 0 ? 1 : 0);
-  // Text-touch steps are never fused (the touch could fault and block, and
-  // anything after a block belongs to a later sim instant), and a span may
-  // not extend into the next text-touch step either: phase p in [1, 15]
-  // allows at most 16 - p steps before the cadence fires again.
-  if (prog_->source.text_pages > 0) {
-    const int64_t phase = static_cast<int64_t>(batch_counter_ & 15);
-    if (phase == 0) {
-      return false;
-    }
-    max_steps = std::min<int64_t>(max_steps, 16 - phase);
-  }
-  if (max_steps < 2) {
-    return false;
-  }
-
-  // Every page-crossing ref must cross exactly once per step, in lockstep,
-  // with an offset-preserving stride (delta * run a whole number of pages);
-  // every other ref's page must be unchanged this step. Otherwise this is not
-  // a steady-state step and the per-op path must run it.
-  const int64_t page_size = prog_->layout.page_size();
-  TouchRunDesc& desc = run_desc_;
-  desc.num_refs = 0;
-  desc.next_step = 0;
-  desc.next_ref = 0;
-  size_t ref_index[TouchRunDesc::kMaxRefs];  // descriptor slot -> nest ref index
-  for (size_t r = 0; r < nest.refs.size(); ++r) {
-    const ArrayRef& ref = nest.refs[r];
-    const AffineExpr& expr = RuntimeExpr(ref);
-    const int64_t coeff = expr.coeffs.empty() ? 0 : expr.coeffs.back();
-    const int64_t page = PageOfRef(ref, 0);
-    if (coeff == 0) {
-      if (page != last_page_[r]) {
-        return false;  // loop-invariant ref re-touches (first step after an outer bump)
-      }
-      continue;
-    }
-    const ArrayDecl& array = prog_->source.arrays[static_cast<size_t>(ref.array)];
-    const int64_t delta = coeff * inner.step * array.element_size;
-    if (delta <= 0 || (delta * run) % page_size != 0) {
-      return false;
-    }
-    const int64_t offset = (EvalElement(ref, 0) * array.element_size) % page_size;
-    if ((page_size - offset + delta - 1) / delta != run || page == last_page_[r] ||
-        desc.num_refs == TouchRunDesc::kMaxRefs) {
-      return false;
-    }
-    const int64_t stride = (delta * run) / page_size;
-    const int64_t array_end =
-        prog_->layout.base_page(ref.array) + prog_->layout.PageCount(ref.array) - 1;
-    max_steps = std::min(max_steps, (array_end - page) / stride + 1);
-    ref_index[desc.num_refs] = r;
-    desc.refs[desc.num_refs] = TouchRunRef{page, stride, ref.is_write};
-    ++desc.num_refs;
-  }
-  if (desc.num_refs == 0 || max_steps < 2) {
-    return false;
-  }
-
-  // With a runtime layer attached, a step's pages must be proven touchable
-  // (resident and valid: a constant-cost, state-free touch) before the NEXT
-  // step may join the span. Hint directives fire at plan time in exactly the
-  // per-step order, which is only equivalent to the unfused stream if every
-  // earlier step of the span charges exactly its compute+hint cost and never
-  // blocks or ends the slice — sim time is frozen within a slice, so eager
-  // firing then lands at the same instant in the same order; but a fault
-  // would let daemon, prefetch-completion, or other-thread events run before
-  // the later hints fire, and those hints read the residency bitmap. The
-  // final step of a span carries no such burden (no hints fire after it), so
-  // it may fault; the kernel replays it per page. Step 0's pages are probed
-  // up front so a faulting step falls through to the per-op path instead of
-  // a 1-step run.
-  //
-  // The uninstrumented program (no runtime layer) fires nothing at plan time:
-  // the only state advanced here is the interpreter's own, which the kernel
-  // never observes mid-op. The exact per-step replay reproduces faults,
-  // blocks, and slice boundaries op for op, so spans may be planned straight
-  // through pages that are not resident yet — the common case in an
-  // out-of-core streaming phase, where the just-crossed page is by
-  // definition still being prefetched or paged in.
-  const PageTable& pt = as_->page_table();
-  auto step_touchable = [&](int64_t step) {
-    for (int32_t i = 0; i < desc.num_refs; ++i) {
-      if (!pt.AllValid(desc.refs[i].base + step * desc.refs[i].page_stride, 1)) {
-        return false;
-      }
-    }
-    return true;
-  };
-  if (runtime_ != nullptr && !step_touchable(0)) {
-    return false;
-  }
-
-  // Plan the span. The budget check mirrors the unfused slice loop exactly:
-  // the kernel ends a slice once elapsed >= budget and every valid touch
-  // charges touch_hit on top of the step's compute+hint cost, so step k
-  // joins the span only if the full charges through step k-1 leave the slice
-  // live — guaranteeing the kernel executes every non-final step in this
-  // same slice, fused or not. ivs_ advances with the plan so every-iteration
-  // directives evaluate each step's true pages.
-  const SimDuration step_compute = run * nest.compute_per_iteration;
-  const SimDuration step_touches = desc.num_refs * kernel.config().costs.touch_hit;
-  const SimDuration budget_left = kernel.SliceBudgetRemaining();
-  const int64_t iv_start = ivs_.back();
-  std::vector<Op>& sysops = sysops_scratch_;
-  sysops.clear();
-  run_costs_.clear();
-  SimDuration planned = 0;
-  int64_t steps = 0;
-  while (steps < max_steps) {
-    if (steps > 0 && (planned >= budget_left ||
-                      (runtime_ != nullptr && !step_touchable(steps - 1)))) {
-      break;
-    }
-    SimDuration hint_cost = 0;
-    if (runtime_ != nullptr) {
-      ivs_.back() = iv_start + steps * run * inner.step;
-      for (int32_t i = 0; i < desc.num_refs; ++i) {
-        FireDirectivesForCrossing(ref_index[i],
-                                  desc.refs[i].base + steps * desc.refs[i].page_stride,
-                                  sysops, &hint_cost);
-      }
-      FireEveryIterationDirectives(run, sysops, &hint_cost);
-    }
-    run_costs_.push_back(step_compute + hint_cost);
-    planned += step_compute + hint_cost + step_touches;
-    ++steps;
-    if (!sysops.empty()) {
-      break;  // sysops must execute before the next step's hints evaluate
-    }
-  }
-  if (steps < 2 && runtime_ == nullptr) {
-    ivs_.back() = iv_start;  // nothing fired; the per-op path is identical
-    return false;
-  }
-
-  desc.steps = steps;
-  desc.step_cost = run_costs_.data();
-  Op op = Op::TouchRun(&desc);
-  op.as = as_;
-  pending_.push_back(op);
-  for (Op& sysop : sysops) {
-    pending_.push_back(sysop);
-  }
-  stats_.iterations += static_cast<uint64_t>(steps * run);
-  stats_.page_touches += static_cast<uint64_t>(steps) * desc.num_refs;
-  for (int32_t i = 0; i < desc.num_refs; ++i) {
-    last_page_[ref_index[i]] = desc.refs[i].base + (steps - 1) * desc.refs[i].page_stride;
-  }
-  if (prog_->source.text_pages > 0) {
-    batch_counter_ += static_cast<uint64_t>(steps);
-  }
-  // steps * run < remaining, so the odometer never cascades inside a span.
-  ivs_.back() = iv_start + steps * run * inner.step;
-  return true;
-}
-
-void Interpreter::RunIterations(Kernel& kernel) {
-  if (fuse_touch_runs_ && !nest_has_indirect_ && TryFusedRun(kernel)) {
-    return;
-  }
+void Interpreter::RunIterations() {
   const CompiledNest& compiled = *active_nest_;
   const LoopNest& nest = compiled.nest;
   const int64_t run = RunLength();

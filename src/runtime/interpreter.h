@@ -47,12 +47,6 @@ class Interpreter : public Program {
 
   [[nodiscard]] const InterpreterStats& stats() const { return stats_; }
 
-  // Run fusion: batch consecutive steady-state steps of the innermost loop
-  // into one kTouchRun op (word-checked by the kernel) instead of per-page
-  // kTouch ops. On by default; differential tests force it off to compare the
-  // fused and unfused streams bit for bit.
-  void set_fuse_touch_runs(bool v) { fuse_touch_runs_ = v; }
-
  private:
   // Effective element index of `ref` at the iteration vector, with the
   // innermost loop shifted by `inner_shift` iterations. Indirect references
@@ -66,14 +60,8 @@ class Interpreter : public Program {
   }
 
   void EnterNest();
-  void Step(Kernel& kernel);           // advances program state, pushes pending ops
-  void RunIterations(Kernel& kernel);  // one batched run of the innermost loop
-  // Fuses the current steady-state span (uniform, phase-aligned run lengths
-  // across all crossing refs) into one kTouchRun op. Returns false — leaving
-  // all state untouched — when the coming step is not steady (a ref crossing
-  // off-lockstep, an odometer cascade, an indirect ref) so the per-op path
-  // runs it instead.
-  bool TryFusedRun(Kernel& kernel);
+  void Step();           // advances program state, pushes pending ops
+  void RunIterations();  // one batched run of the innermost loop
   void ExitNest();
   [[nodiscard]] int64_t RunLength() const;
   void FireDirectivesForCrossing(size_t ref_idx, int64_t page, std::vector<Op>& sysops,
@@ -107,14 +95,6 @@ class Interpreter : public Program {
   // (and each shifted EvalElement) reuses capacity instead of reallocating.
   std::vector<Op> sysops_scratch_;
   mutable std::vector<int64_t> shifted_scratch_;
-
-  // Fused-run state. The descriptor and cost array back the emitted kTouchRun
-  // op by pointer; they are stable until the op completes because Next() is
-  // only called after full completion, and the next TryFusedRun overwrites
-  // them only then.
-  bool fuse_touch_runs_ = true;
-  TouchRunDesc run_desc_;
-  std::vector<SimDuration> run_costs_;
 
   InterpreterStats stats_;
 };

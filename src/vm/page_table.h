@@ -47,9 +47,7 @@ struct Pte {
 
 class PageTable {
  public:
-  explicit PageTable(VPage num_pages)
-      : ptes_(static_cast<size_t>(num_pages)),
-        valid_words_((static_cast<size_t>(num_pages) + 63) / 64, 0) {}
+  explicit PageTable(VPage num_pages) : ptes_(static_cast<size_t>(num_pages)) {}
 
   [[nodiscard]] VPage size() const { return static_cast<VPage>(ptes_.size()); }
 
@@ -71,59 +69,8 @@ class PageTable {
     --resident_count_;
   }
 
-  // --- word-parallel touchable plane -----------------------------------------
-  // Bit v mirrors `at(v).resident && at(v).valid` — the exact predicate of
-  // DoTouch's no-fault fast path. The kernel re-syncs a page's bit after every
-  // mutation of the PTE's resident/valid fields; the invariant checker
-  // cross-checks the plane bit-for-bit against the PTE array. DoTouchRun's
-  // bulk path proves a whole run touchable in a few word scans of this plane
-  // instead of one PTE load per page.
-
-  void SyncValid(VPage vpage) {
-    assert(vpage >= 0 && vpage < size());
-    const Pte& pte = ptes_[static_cast<size_t>(vpage)];
-    if (pte.resident && pte.valid) {
-      valid_words_[Word(vpage)] |= Mask(vpage);
-    } else {
-      valid_words_[Word(vpage)] &= ~Mask(vpage);
-    }
-  }
-
-  // True iff every page in [first, first + count) is resident-and-valid.
-  [[nodiscard]] bool AllValid(VPage first, VPage count) const {
-    if (count <= 0) {
-      return true;
-    }
-    assert(first >= 0 && first + count <= size());
-    const size_t w0 = Word(first);
-    const size_t w1 = Word(first + count - 1);
-    uint64_t need = ~0ULL << (static_cast<uint64_t>(first) % 64);
-    const uint64_t tail = LowMask(static_cast<uint64_t>(first + count) - w1 * 64);
-    if (w0 == w1) {
-      need &= tail;
-      return (valid_words_[w0] & need) == need;
-    }
-    if ((valid_words_[w0] & need) != need) {
-      return false;
-    }
-    for (size_t i = w0 + 1; i < w1; ++i) {
-      if (valid_words_[i] != ~0ULL) {
-        return false;
-      }
-    }
-    return (valid_words_[w1] & tail) == tail;
-  }
-
-  [[nodiscard]] const uint64_t* valid_words() const { return valid_words_.data(); }
-  [[nodiscard]] size_t num_valid_words() const { return valid_words_.size(); }
-
  private:
-  static size_t Word(VPage vpage) { return static_cast<size_t>(vpage) / 64; }
-  static uint64_t Mask(VPage vpage) { return 1ULL << (static_cast<uint64_t>(vpage) % 64); }
-  static uint64_t LowMask(uint64_t n) { return (n >= 64) ? ~0ULL : (1ULL << n) - 1; }
-
   std::vector<Pte> ptes_;
-  std::vector<uint64_t> valid_words_;
   int64_t resident_count_ = 0;
 };
 

@@ -75,33 +75,6 @@ class ResidencyBitmap {
     return -1;
   }
 
-  // True iff every page in [first, first + count) is resident. Word-parallel
-  // counterpart of Test() for run-granular checks (e.g. cross-checking a
-  // fused touch run's span for a PagingDirected address space).
-  [[nodiscard]] bool AllSetRange(VPage first, VPage count) const {
-    if (count <= 0) {
-      return true;
-    }
-    assert(InRange(first) && InRange(first + count - 1));
-    const size_t w0 = Word(first);
-    const size_t w1 = Word(first + count - 1);
-    uint64_t need = ~0ULL << (static_cast<uint64_t>(first) % 64);
-    const uint64_t tail = LowMask(static_cast<uint64_t>(first + count) - w1 * 64);
-    if (w0 == w1) {
-      need &= tail;
-      return (bits_[w0] & need) == need;
-    }
-    if ((bits_[w0] & need) != need) {
-      return false;
-    }
-    for (size_t i = w0 + 1; i < w1; ++i) {
-      if (bits_[i] != ~0ULL) {
-        return false;
-      }
-    }
-    return (bits_[w1] & tail) == tail;
-  }
-
   // Number of resident pages in [first, first + count).
   [[nodiscard]] int64_t CountRange(VPage first, VPage count) const {
     if (count <= 0) {

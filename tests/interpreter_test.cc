@@ -1,6 +1,6 @@
 // Tests for the interpreter: the op stream it generates must match a naive
-// per-iteration walk of the loop nest, and the compiler's hint sites must fire
-// at the right places.
+// per-iteration walk of the loop nest, page for page and load/store for
+// load/store, and the compiler's hint sites must fire at the right places.
 
 #include "src/runtime/interpreter.h"
 
@@ -8,6 +8,7 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/compiler/compile.h"
@@ -25,9 +26,12 @@ CompilerTarget Target() {
   return target;
 }
 
+// One page touch: the page, and whether the access is a store.
+using Touch = std::pair<VPage, bool>;
+
 // Collects the interpreter's op stream without running a kernel.
 struct OpTrace {
-  std::vector<VPage> touches;
+  std::vector<Touch> touches;
   SimDuration total_compute = 0;
   std::vector<VPage> releases;
   int64_t ops = 0;
@@ -45,7 +49,7 @@ OpTrace Drain(const CompiledProgram& program, Kernel& kernel, AddressSpace* as,
     ++trace.ops;
     switch (op.kind) {
       case Op::Kind::kTouch:
-        trace.touches.push_back(op.vpage);
+        trace.touches.emplace_back(op.vpage, op.is_write);
         trace.total_compute += op.duration;
         break;
       case Op::Kind::kCompute:
@@ -55,7 +59,10 @@ OpTrace Drain(const CompiledProgram& program, Kernel& kernel, AddressSpace* as,
         trace.releases.push_back(op.vpage);
         break;
       default:
-        break;
+        // The interpreter emits one op per page crossing and nothing batched;
+        // any other kind would slip past the naive-walk comparison.
+        ADD_FAILURE() << "unexpected op kind " << static_cast<int>(op.kind);
+        return trace;
     }
   }
   ADD_FAILURE() << "interpreter did not terminate";
@@ -63,9 +70,10 @@ OpTrace Drain(const CompiledProgram& program, Kernel& kernel, AddressSpace* as,
 }
 
 // Naive reference: the page-touch sequence a one-iteration-at-a-time walk
-// would produce (first touch of each page per ref, in iteration order).
-std::vector<VPage> NaiveTouches(const SourceProgram& program, const ArrayLayout& layout) {
-  std::vector<VPage> touches;
+// would produce (first touch of each page per ref, in iteration order, with
+// the ref's load/store kind).
+std::vector<Touch> NaiveTouches(const SourceProgram& program, const ArrayLayout& layout) {
+  std::vector<Touch> touches;
   std::vector<int64_t> last_page;
   for (int64_t rep = 0; rep < program.repeat; ++rep) {
     for (const LoopNest& nest : program.nests) {
@@ -96,7 +104,7 @@ std::vector<VPage> NaiveTouches(const SourceProgram& program, const ArrayLayout&
           const int64_t page = layout.PageOf(ref.array, element);
           if (page != last_page[r]) {
             last_page[r] = page;
-            touches.push_back(page);
+            touches.emplace_back(page, ref.is_write);
           }
         }
         // Odometer.
@@ -211,7 +219,7 @@ TEST(InterpreterTest, NegativeStrideMatchesNaiveWalk) {
   const OpTrace trace = Drain(program, kernel, as, nullptr);
   EXPECT_EQ(trace.touches, NaiveTouches(p, program.layout));
   EXPECT_EQ(trace.touches.size(), 4u);
-  EXPECT_EQ(trace.touches.front(), 3);  // last page first
+  EXPECT_EQ(trace.touches.front().first, 3);  // last page first
 }
 
 TEST(InterpreterTest, IndirectRefsFollowIndexArrayValues) {
@@ -300,8 +308,8 @@ TEST(InterpreterTest, TextPagesAreTouchedPeriodically) {
   const OpTrace trace = Drain(program, kernel, as, nullptr);
   const int64_t text_base = program.layout.total_pages();
   int64_t text_touches = 0;
-  for (const VPage page : trace.touches) {
-    text_touches += (page >= text_base) ? 1 : 0;
+  for (const Touch& touch : trace.touches) {
+    text_touches += (touch.first >= text_base) ? 1 : 0;
   }
   EXPECT_GT(text_touches, 0);
 }

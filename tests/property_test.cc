@@ -79,9 +79,11 @@ SourceProgram RandomProgram(uint64_t seed) {
   return p;
 }
 
-// Reference: per-iteration walk recording first-touch-per-page transitions.
-std::vector<VPage> NaiveTouches(const SourceProgram& program, const ArrayLayout& layout) {
-  std::vector<VPage> touches;
+// Reference: per-iteration walk recording first-touch-per-page transitions,
+// each with its ref's load/store kind.
+std::vector<std::pair<VPage, bool>> NaiveTouches(const SourceProgram& program,
+                                                 const ArrayLayout& layout) {
+  std::vector<std::pair<VPage, bool>> touches;
   for (int64_t rep = 0; rep < program.repeat; ++rep) {
     for (const LoopNest& nest : program.nests) {
       std::vector<int64_t> last_page(nest.refs.size(), -1);
@@ -104,7 +106,7 @@ std::vector<VPage> NaiveTouches(const SourceProgram& program, const ArrayLayout&
           const int64_t page = layout.PageOf(ref.array, element);
           if (page != last_page[r]) {
             last_page[r] = page;
-            touches.push_back(page);
+            touches.emplace_back(page, ref.is_write);
           }
         }
         size_t d = nest.loops.size();
@@ -138,7 +140,7 @@ TEST_P(InterpreterEquivalenceTest, BatchedTouchSequenceMatchesNaiveWalk) {
   Kernel kernel(TestMachine());
   AddressSpace* as = MakeSwapAs(kernel, "as", program.layout.total_pages());
   Interpreter interp(&program, as, nullptr);
-  std::vector<VPage> touches;
+  std::vector<std::pair<VPage, bool>> touches;
   SimDuration compute = 0;
   for (int64_t guard = 0; guard < 100'000'000; ++guard) {
     const Op op = interp.Next(kernel);
@@ -146,9 +148,12 @@ TEST_P(InterpreterEquivalenceTest, BatchedTouchSequenceMatchesNaiveWalk) {
       break;
     }
     if (op.kind == Op::Kind::kTouch) {
-      touches.push_back(op.vpage);
+      touches.emplace_back(op.vpage, op.is_write);
     } else if (op.kind == Op::Kind::kCompute) {
       compute += op.duration;
+    } else {
+      // A hint-free program emits only per-page touches and computes.
+      FAIL() << "unexpected op kind " << static_cast<int>(op.kind);
     }
   }
   EXPECT_EQ(touches, NaiveTouches(source, program.layout));
