@@ -35,13 +35,11 @@ int main(int argc, char** argv) {
   const tmh::EventLog& log = result.event_log;
   std::printf("MATVEC-%s at scale %.2f: %zu kernel events recorded (%zu dropped)\n",
               tmh::VersionLabel(spec.version), scale, log.events().size(), log.dropped());
-  for (const tmh::KernelEventType type :
-       {tmh::KernelEventType::kFaultBegin, tmh::KernelEventType::kPrefetchIssue,
-        tmh::KernelEventType::kPrefetchDrop, tmh::KernelEventType::kReleaseEnqueue,
-        tmh::KernelEventType::kReleaseFree, tmh::KernelEventType::kReleaseRescue,
-        tmh::KernelEventType::kDaemonRescue, tmh::KernelEventType::kDaemonSweep,
-        tmh::KernelEventType::kMemoryWaitBegin}) {
-    std::printf("  %-16s %zu\n", tmh::KernelEventName(type), log.Count(type));
+  for (const tmh::VmHookOp op :
+       {tmh::VmHookOp::kFaultBegin, tmh::VmHookOp::kPrefetchIssue, tmh::VmHookOp::kPrefetchDrop,
+        tmh::VmHookOp::kReleaseEnqueue, tmh::VmHookOp::kReleaseFree, tmh::VmHookOp::kRescue,
+        tmh::VmHookOp::kDaemonSweep, tmh::VmHookOp::kMemoryWaitBegin}) {
+    std::printf("  %-18s %zu\n", tmh::VmHookOpName(op), log.Count(op));
   }
 
   const std::string trace_path = out_dir + "/hog_trace.json";

@@ -216,20 +216,7 @@ std::string Describe(const Scenario& scenario) {
   return os.str();
 }
 
-ScenarioOutcome RunScenario(const Scenario& scenario,
-                            const CheckOptions& check_options) {
-  MultiExperimentSpec spec = ToSpec(scenario);
-  spec.checks = true;
-  spec.check_options = check_options;
-  const MultiExperimentResult result = RunMultiExperiment(spec);
-
-  ScenarioOutcome outcome;
-  outcome.completed = result.completed;
-  outcome.failure = result.check_failure;
-  outcome.ok = outcome.failure.empty();
-  outcome.checks_run = result.checks_run;
-  outcome.sim_events = result.sim_events;
-
+std::string Digest(const MultiExperimentResult& result) {
   // FNV-1a over the run's end-of-run counters: any behavioral drift between
   // two runs of the same scenario lands in the digest.
   uint64_t h = 0xcbf29ce484222325ULL;
@@ -268,7 +255,23 @@ ScenarioOutcome RunScenario(const Scenario& scenario,
   }
   std::ostringstream os;
   os << std::hex << h;
-  outcome.digest = os.str();
+  return os.str();
+}
+
+ScenarioOutcome RunScenario(const Scenario& scenario,
+                            const CheckOptions& check_options) {
+  MultiExperimentSpec spec = ToSpec(scenario);
+  spec.checks = true;
+  spec.check_options = check_options;
+  const MultiExperimentResult result = RunMultiExperiment(spec);
+
+  ScenarioOutcome outcome;
+  outcome.completed = result.completed;
+  outcome.failure = result.check_failure;
+  outcome.ok = outcome.failure.empty();
+  outcome.checks_run = result.checks_run;
+  outcome.sim_events = result.sim_events;
+  outcome.digest = Digest(result);
   return outcome;
 }
 

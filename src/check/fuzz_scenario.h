@@ -95,10 +95,14 @@ struct ScenarioOutcome {
   std::string failure;      // first invariant violation, empty when ok
   uint64_t checks_run = 0;
   uint64_t sim_events = 0;
-  // Stable fingerprint of end-of-run counters: equal digests on two runs of
-  // the same scenario demonstrate deterministic replay.
-  std::string digest;
+  std::string digest;  // Digest(result)
 };
+
+// Stable fingerprint of a run's end-of-run counters (sim_events included).
+// Equal digests on two runs of the same spec demonstrate deterministic replay;
+// equal digests with and without observers show the observers did not change
+// the run.
+std::string Digest(const MultiExperimentResult& result);
 
 // Runs the scenario with an InvariantChecker attached.
 ScenarioOutcome RunScenario(const Scenario& scenario, const CheckOptions& check_options);

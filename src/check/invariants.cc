@@ -34,6 +34,9 @@ InvariantChecker::InvariantChecker(Kernel& kernel, CheckOptions options)
 InvariantChecker::~InvariantChecker() { kernel_->AttachChecker(nullptr); }
 
 void InvariantChecker::OnVmEvent(const VmHookEvent& event) {
+  if (!IsVmTransition(event.op)) {
+    return;  // timing edges for the recorder: no state to replay or check
+  }
   if (!tail_.empty()) {
     tail_[tail_next_] = event;
     tail_next_ = (tail_next_ + 1) % tail_.size();

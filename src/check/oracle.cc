@@ -240,10 +240,6 @@ void VmOracle::Apply(const VmHookEvent& event) {
       }
       break;
     }
-    case VmHookOp::kValidate:
-    case VmHookOp::kInvalidate:
-    case VmHookOp::kReleaseSkip:
-      break;  // validity is a kernel-side refinement; no structural change
     case VmHookOp::kReleaseEnqueue:
       ++releases_enqueued_;
       break;
@@ -364,6 +360,8 @@ void VmOracle::Apply(const VmHookEvent& event) {
       src.free.push_front(victim.tf);
       break;
     }
+    default:
+      break;  // validity changes, release skips, timing edges: no structural change
   }
 }
 

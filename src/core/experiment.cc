@@ -275,7 +275,7 @@ MultiExperimentResult RunMultiExperiment(const MultiExperimentSpec& spec,
       if (app.runtime == nullptr) {
         continue;
       }
-      MetricsRegistry& reg = kernel.metrics();
+      MetricsRegistry& reg = kernel.recorder()->metrics();
       const MetricLabels labels = {{"as", app.as->name()}};
       const RuntimeStats& rs = app.runtime->stats();
       reg.GetCounter("runtime.prefetch_hints", labels)->Set(rs.prefetch_hints);
@@ -293,8 +293,8 @@ MultiExperimentResult RunMultiExperiment(const MultiExperimentSpec& spec,
       reg.GetCounter("prefetch_pool.dropped_full", labels)->Set(pool.dropped_full());
       reg.GetCounter("prefetch_pool.duplicates", labels)->Set(pool.duplicates());
     }
-    result.metrics_text = kernel.metrics().TextDump();
-    result.event_log = std::move(kernel.event_log());
+    result.metrics_text = kernel.recorder()->metrics().TextDump();
+    result.event_log = std::move(kernel.recorder()->log());
   }
   return result;
 }

@@ -66,8 +66,8 @@ AddressSpace* Kernel::CreateAddressSpace(const std::string& name, int64_t bytes)
   as->set_home_node(static_cast<int>(as->id() % free_list_.num_nodes()));
   next_swap_slot_ += pages;
   address_spaces_.push_back(std::move(as));
-  if (TMH_UNLIKELY(observing_)) {
-    event_log_.SetAddressSpaceName(address_spaces_.back()->id(), name);
+  if (recorder_ != nullptr) {
+    recorder_->log().SetAddressSpaceName(address_spaces_.back()->id(), name);
   }
   return address_spaces_.back().get();
 }
@@ -77,8 +77,8 @@ Thread* Kernel::Spawn(const std::string& name, AddressSpace* as, Program* progra
   auto thread = std::make_unique<Thread>(next_thread_id_++, name, as, program, is_daemon);
   Thread* t = thread.get();
   threads_.push_back(std::move(thread));
-  if (TMH_UNLIKELY(observing_)) {
-    event_log_.SetThreadName(t->id(), name);
+  if (recorder_ != nullptr) {
+    recorder_->log().SetThreadName(t->id(), name);
   }
   t->started_at_ = Now();
   t->block_start = Now();  // measures initial CPU-queue wait
@@ -99,39 +99,36 @@ void Kernel::StartDaemons() {
 
 void Kernel::DaemonTickChain(SimDuration period) {
   queue_.ScheduleAfter(period, [this, period]() {
-    if (TMH_UNLIKELY(observing_)) {
-      // Free-memory counter track for the Chrome trace, on the daemon beat.
-      event_log_.Record(Now(), KernelEventType::kFreePagesSample, 0, kNoAs, kNoVPage,
-                        free_list_.size());
-      gauge_free_pages_->Set(static_cast<double>(free_list_.size()));
-    }
+    // Free-memory counter track for the Chrome trace, on the daemon beat.
+    Emit(VmHookOp::kFreePagesSample, kKernelTid, kNoAs, kNoVPage, kNoFrame, free_list_.size());
     Signal(&paging_daemon_->wait_queue());
     DaemonTickChain(period);
   });
 }
 
-void Kernel::EnableObservability(size_t max_events) {
+void Kernel::EnableObservability() {
   assert(threads_.empty() && address_spaces_.empty() &&
          "enable observability before creating address spaces or threads");
-  observing_ = true;
-  event_log_.Enable(max_events);
-  event_log_.SetThreadName(0, "kernel");
-  // 1 us .. ~34 s exponential bounds cover every latency this machine produces.
-  const std::vector<double> bounds = ExponentialBounds(1000.0, 2.0, 26);
-  hist_fault_service_ = metrics_.GetHistogram("kernel.fault_service_ns", bounds);
-  hist_rescue_release_ =
-      metrics_.GetHistogram("kernel.rescue_distance_ns", bounds, {{"freed_by", "releaser"}});
-  hist_rescue_daemon_ =
-      metrics_.GetHistogram("kernel.rescue_distance_ns", bounds, {{"freed_by", "daemon"}});
-  gauge_free_pages_ = metrics_.GetGauge("kernel.free_pages");
+  recorder_ = std::make_unique<EventRecorder>();
+  observed_ = true;
+}
+
+void Kernel::Deliver(const VmHookEvent& event) {
+  if (checker_ != nullptr) {
+    checker_->OnVmEvent(event);
+  }
+  if (recorder_ != nullptr) {
+    recorder_->OnVmEvent(event);
+  }
 }
 
 void Kernel::PublishMetrics() {
-  if (!observing_) {
+  if (recorder_ == nullptr) {
     return;
   }
-  const auto pub = [this](const char* name, uint64_t v) {
-    metrics_.GetCounter(name)->Set(v);
+  MetricsRegistry& metrics = recorder_->metrics();
+  const auto pub = [&metrics](const char* name, uint64_t v) {
+    metrics.GetCounter(name)->Set(v);
   };
   pub("kernel.daemon_activations", stats_.daemon_activations);
   pub("kernel.daemon_pages_stolen", stats_.daemon_pages_stolen);
@@ -166,18 +163,18 @@ void Kernel::PublishMetrics() {
   pub("kernel.tier_writebacks", stats_.tier_writebacks);
   pub("kernel.swap_reads", swap_->reads());
   pub("kernel.swap_writes", swap_->writes());
-  pub("kernel.trace_events_dropped", event_log_.dropped());
-  gauge_free_pages_->Set(static_cast<double>(free_list_.size()));
+  pub("kernel.trace_events_dropped", recorder_->log().dropped());
+  metrics.GetGauge("kernel.free_pages")->Set(static_cast<double>(free_list_.size()));
   for (const auto& as : address_spaces_) {
     const MetricLabels labels = {{"as", as->name()}};
     const AsStats& s = as->stats();
-    metrics_.GetCounter("as.pages_stolen_from", labels)->Set(s.pages_stolen_from);
-    metrics_.GetCounter("as.pages_released", labels)->Set(s.pages_released);
-    metrics_.GetCounter("as.releases_skipped", labels)->Set(s.releases_skipped);
-    metrics_.GetCounter("as.rescued_from_steal", labels)->Set(s.rescued_from_steal);
-    metrics_.GetCounter("as.rescued_from_release", labels)->Set(s.rescued_from_release);
-    metrics_.GetCounter("as.invalidations_received", labels)->Set(s.invalidations_received);
-    metrics_.GetGauge("as.resident_pages", labels)
+    metrics.GetCounter("as.pages_stolen_from", labels)->Set(s.pages_stolen_from);
+    metrics.GetCounter("as.pages_released", labels)->Set(s.pages_released);
+    metrics.GetCounter("as.releases_skipped", labels)->Set(s.releases_skipped);
+    metrics.GetCounter("as.rescued_from_steal", labels)->Set(s.rescued_from_steal);
+    metrics.GetCounter("as.rescued_from_release", labels)->Set(s.rescued_from_release);
+    metrics.GetCounter("as.invalidations_received", labels)->Set(s.invalidations_received);
+    metrics.GetGauge("as.resident_pages", labels)
         ->Set(static_cast<double>(as->page_table().resident_count()));
   }
 }
@@ -215,22 +212,9 @@ void Kernel::TraceTick(SimDuration period) {
 }
 
 bool Kernel::RunUntilDone(const std::function<bool()>& done, uint64_t max_events) {
-  if (TMH_UNLIKELY(checker_ != nullptr)) {
-    // Checked runs stay on the one-event-at-a-time loop: the checker needs a
-    // quiescent point between events, which the batched dispatch elides.
-    uint64_t events = 0;
-    while (!done()) {
-      if (events >= max_events || !queue_.RunOne()) {
-        return done();
-      }
-      ++events;
-      checker_->OnQuiescent(*this);
-    }
-    return true;
-  }
   // The predicate is checked before the first event and after every executed
-  // event — the same stop boundary as the per-event loop — but dispatch
-  // drains whole same-time buckets between wheel scans.
+  // event, but dispatch drains whole same-time buckets between wheel scans.
+  // An attached checker gets its quiescent point first, after every event.
   if (done()) {
     return true;
   }
@@ -239,7 +223,14 @@ bool Kernel::RunUntilDone(const std::function<bool()>& done, uint64_t max_events
   const bool prev_fired = stop_hint_fired_;
   stop_hint_ = &done;
   stop_hint_fired_ = false;
-  queue_.RunWhile([&]() { return (stopped = (stop_hint_fired_ || done())); }, max_events);
+  queue_.RunWhile(
+      [&]() {
+        if (TMH_UNLIKELY(checker_ != nullptr)) {
+          checker_->OnQuiescent(*this);
+        }
+        return (stopped = (stop_hint_fired_ || done()));
+      },
+      max_events);
   stop_hint_ = prev_hint;
   stop_hint_fired_ = prev_fired;
   return stopped || done();
@@ -254,12 +245,10 @@ bool Kernel::RunUntilThreadsDone(const std::vector<Thread*>& threads, uint64_t m
     }
     return true;
   };
-  if (TMH_UNLIKELY(checker_ != nullptr)) {
-    return RunUntilDone(all_done, max_events);
-  }
   // Threads only ever enter kDone (never leave), and every such transition
   // bumps done_generation_, so the predicate is re-evaluated only when it
-  // could possibly have flipped. The per-event cost is one counter compare.
+  // could possibly have flipped. The per-event cost is one counter compare,
+  // plus the checker's quiescent point when one is attached.
   if (all_done()) {
     return true;
   }
@@ -267,6 +256,9 @@ bool Kernel::RunUntilThreadsDone(const std::vector<Thread*>& threads, uint64_t m
   bool stopped = false;
   queue_.RunWhile(
       [&]() {
+        if (TMH_UNLIKELY(checker_ != nullptr)) {
+          checker_->OnQuiescent(*this);
+        }
         if (done_generation_ == seen_gen) {
           return false;
         }
@@ -298,28 +290,21 @@ bool Kernel::StopHintFires() {
 }
 
 void Kernel::TryDispatch() {
-  // Fast path: run the slice inline instead of via a zero-delay event. Legal
-  // only when (a) we are not already inside a slice (an op's wake must not
-  // reorder the woken thread ahead of pending events), (b) no checker needs a
-  // quiescent point per event, and (c) no other event is pending at the
-  // current instant — with an empty now-bucket the queued path would run the
-  // dispatch event next anyway, so the inline order is identical. Dispatches
-  // one thread at a time and re-checks, because an inline slice may append
-  // same-time events (which must then run before any further dispatch).
-  // A fired stop hint forces the queued path: RunUntilDone's predicate must
-  // get its between-events check before the slice runs.
-  if (!in_slice_ && TMH_LIKELY(checker_ == nullptr)) {
-    while (busy_cpus_ < config_.num_cpus && !run_queue_.empty() &&
-           queue_.NextEventTime(Now() + 1) > Now() && !StopHintFires()) {
-      Thread* t = run_queue_.front();
-      run_queue_.pop_front();
-      assert(t->state_ == Thread::State::kRunnable);
-      t->times_.resource_stall += Now() - t->block_start;
-      t->state_ = Thread::State::kRunning;
-      ++busy_cpus_;
-      RunSlice(t);
-    }
-  }
+  // Fast path: run the slice inline instead of via a zero-delay event, when
+  // (a) we are not already inside a slice (an op's wake must not reorder the
+  // woken thread ahead of pending events), (b) no other event is pending at
+  // the current instant, and (c) RunUntilDone's stop hint has not fired (its
+  // predicate must get its between-events check before the slice runs).
+  // The slice then starts at the time the queued dispatch would and overtakes
+  // no pending event. It is not the queued order, though: the slice runs
+  // inside the waking event's action, before the rest of that action (the
+  // next waiter in WakeMemoryWaiters or WakeFrameWaiters,
+  // MaybeNotifySharedHeaders after FreeFrame), so the woken thread can see
+  // state that action has not finished updating and the simulated run
+  // differs from an all-queued one. Checked and observed runs take this same
+  // path. Conditions are re-checked per thread because an inline slice may
+  // append same-time events, which must run before any further dispatch; a
+  // queued dispatch is itself such an event, so the rest of this call queues.
   while (busy_cpus_ < config_.num_cpus && !run_queue_.empty()) {
     Thread* t = run_queue_.front();
     run_queue_.pop_front();
@@ -328,7 +313,11 @@ void Kernel::TryDispatch() {
     t->times_.resource_stall += Now() - t->block_start;
     t->state_ = Thread::State::kRunning;
     ++busy_cpus_;
-    queue_.ScheduleAfter(0, [this, t]() { RunSlice(t); });
+    if (!in_slice_ && queue_.NextEventTime(Now() + 1) > Now() && !StopHintFires()) {
+      RunSlice(t);
+    } else {
+      queue_.ScheduleAfter(0, [this, t]() { RunSlice(t); });
+    }
   }
 }
 
@@ -408,18 +397,15 @@ void Kernel::Wake(Thread* t) {
     case Thread::BlockReason::kIo:
       t->times_.io_stall += waited;
       t->fault_service_.Add(static_cast<double>(waited));
-      if (TMH_UNLIKELY(observing_) && !t->is_daemon()) {
-        hist_fault_service_->Add(static_cast<double>(waited));
-      }
+      Emit(VmHookOp::kIoWake, t->id(), kNoAs, kNoVPage, kNoFrame, waited,
+           t->is_daemon() ? 1 : 0);
       break;
     case Thread::BlockReason::kLock:
       t->times_.resource_stall += waited;
       break;
     case Thread::BlockReason::kMemory:
       t->times_.resource_stall += waited;
-      if (TMH_UNLIKELY(observing_)) {
-        event_log_.Record(Now(), KernelEventType::kMemoryWaitEnd, t->id());
-      }
+      Emit(VmHookOp::kMemoryWaitEnd, t->id(), kNoAs, kNoVPage, kNoFrame);
       break;
     case Thread::BlockReason::kSleep:
     case Thread::BlockReason::kWaitQueue:
@@ -532,9 +518,6 @@ FrameId Kernel::AllocateFrame(AddressSpace* as, VPage vpage) {
     return kNoFrame;
   }
   ++node_allocations_[static_cast<size_t>(free_list_.NodeOf(f))];
-  if (TMH_UNLIKELY(observing_)) {
-    freed_at_.erase(f);  // handed out, not rescued: forget the free timestamp
-  }
   const AsId old_owner = frames_.owner(f);
   if (old_owner != kNoAs) {
     // Break the stale rescue identity of the page that last lived here.
@@ -548,7 +531,7 @@ FrameId Kernel::AllocateFrame(AddressSpace* as, VPage vpage) {
   frames_.set_owner(f, as->id());
   frames_.set_vpage(f, vpage);
   ++stats_.allocations;
-  Hook(VmHookOp::kAlloc, as->id(), vpage, f);
+  Emit(VmHookOp::kAlloc, kKernelTid, as->id(), vpage, f);
   if (free_list_.size() < config_.tunables.min_freemem_pages) {
     WakeDaemon();
   }
@@ -572,7 +555,7 @@ void Kernel::MapFrame(AddressSpace* as, VPage vpage, FrameId f, bool validate) {
   if (as->HasPagingDirected()) {
     as->bitmap()->Set(vpage);
   }
-  Hook(VmHookOp::kMap, as->id(), vpage, f, validate ? 1 : 0);
+  Emit(VmHookOp::kMap, kKernelTid, as->id(), vpage, f, validate ? 1 : 0);
 }
 
 void Kernel::UnmapFrame(AddressSpace* as, VPage vpage, FreedBy freed_by) {
@@ -592,7 +575,7 @@ void Kernel::UnmapFrame(AddressSpace* as, VPage vpage, FreedBy freed_by) {
   if (as->HasPagingDirected()) {
     as->bitmap()->Clear(vpage);
   }
-  Hook(VmHookOp::kUnmap, as->id(), vpage, pte.frame, static_cast<int64_t>(freed_by));
+  Emit(VmHookOp::kUnmap, kKernelTid, as->id(), vpage, pte.frame, static_cast<int64_t>(freed_by));
 }
 
 void Kernel::FreeFrame(FrameId f, bool at_tail) {
@@ -600,22 +583,19 @@ void Kernel::FreeFrame(FrameId f, bool at_tail) {
   if (frames_.dirty(f)) {
     frames_.set_io_busy(f, true);
     ++stats_.writebacks;
-    Hook(VmHookOp::kWritebackBegin, frames_.owner(f), frames_.vpage(f), f);
+    Emit(VmHookOp::kWritebackBegin, kKernelTid, frames_.owner(f), frames_.vpage(f), f);
     AddressSpace* as = address_spaces_[static_cast<size_t>(frames_.owner(f))].get();
     swap_->WritePage(as->SwapSlot(frames_.vpage(f)), [this, f, at_tail]() {
       frames_.set_dirty(f, false);
       frames_.set_io_busy(f, false);
-      Hook(VmHookOp::kWritebackEnd, frames_.owner(f), frames_.vpage(f), f);
+      Emit(VmHookOp::kWritebackEnd, kKernelTid, frames_.owner(f), frames_.vpage(f), f);
       if (at_tail) {
         free_list_.PushTail(f);
       } else {
         free_list_.PushHead(f);
       }
-      Hook(at_tail ? VmHookOp::kFreePushTail : VmHookOp::kFreePushHead, frames_.owner(f),
-           frames_.vpage(f), f);
-      if (TMH_UNLIKELY(observing_)) {
-        freed_at_[f] = Now();
-      }
+      Emit(at_tail ? VmHookOp::kFreePushTail : VmHookOp::kFreePushHead, kKernelTid,
+           frames_.owner(f), frames_.vpage(f), f);
       WakeMemoryWaiters();
       WakeFrameWaiters(f);  // touches that arrived mid-writeback can now rescue
       MaybeNotifySharedHeaders();
@@ -627,11 +607,8 @@ void Kernel::FreeFrame(FrameId f, bool at_tail) {
   } else {
     free_list_.PushHead(f);
   }
-  Hook(at_tail ? VmHookOp::kFreePushTail : VmHookOp::kFreePushHead, frames_.owner(f),
-       frames_.vpage(f), f);
-  if (TMH_UNLIKELY(observing_)) {
-    freed_at_[f] = Now();
-  }
+  Emit(at_tail ? VmHookOp::kFreePushTail : VmHookOp::kFreePushHead, kKernelTid,
+       frames_.owner(f), frames_.vpage(f), f);
   WakeMemoryWaiters();
   MaybeNotifySharedHeaders();
 }
@@ -648,18 +625,28 @@ void Kernel::WaitOnFrame(Thread* t, FrameId f, SimDuration elapsed) {
   Block(t, Thread::BlockReason::kIo, elapsed);
 }
 
-void Kernel::RecordRescue(Thread* t, AddressSpace* as, VPage vpage, FrameId f,
-                          FreedBy freed_by) {
-  const bool by_daemon = freed_by == FreedBy::kDaemon;
-  if (const auto it = freed_at_.find(f); it != freed_at_.end()) {
-    (by_daemon ? hist_rescue_daemon_ : hist_rescue_release_)
-        ->Add(static_cast<double>(Now() - it->second));
-    freed_at_.erase(it);
+bool Kernel::TryRescue(Thread* t, AddressSpace* as, VPage vpage) {
+  Pte& pte = as->page_table().at(vpage);
+  const FrameId f = pte.frame;
+  if (f == kNoFrame) {
+    return false;
   }
-  event_log_.Record(Now(),
-                    by_daemon ? KernelEventType::kDaemonRescue
-                              : KernelEventType::kReleaseRescue,
-                    t->id(), as->id(), vpage);
+  if (!frames_.IsPage(f, as->id(), vpage) || !frames_.contents_valid(f) || frames_.io_busy(f) ||
+      !free_list_.Contains(f)) {
+    pte.frame = kNoFrame;  // stale link
+    return false;
+  }
+  const FreedBy freed_by = frames_.freed_by(f);
+  free_list_.Remove(f);
+  Emit(VmHookOp::kRescue, t->id(), as->id(), vpage, f, static_cast<int64_t>(freed_by));
+  if (freed_by == FreedBy::kDaemon) {
+    ++stats_.rescued_daemon_freed;
+    ++as->stats().rescued_from_steal;
+  } else {
+    ++stats_.rescued_release_freed;
+    ++as->stats().rescued_from_release;
+  }
+  return true;
 }
 
 void Kernel::WakeFrameWaiters(FrameId f) {
@@ -684,7 +671,7 @@ void Kernel::UpdateSharedHeader(AddressSpace* as) {
                current + free_list_.size() - config_.tunables.min_freemem_pages);
   as->bitmap()->SetHeader(current, std::max<int64_t>(upper, 0));
   as->set_header_free_snapshot(free_list_.size());
-  Hook(VmHookOp::kHeaderUpdate, as->id(), kNoVPage, kNoFrame, current,
+  Emit(VmHookOp::kHeaderUpdate, kKernelTid, as->id(), kNoVPage, kNoFrame, current,
        std::max<int64_t>(upper, 0));
 }
 
@@ -769,7 +756,7 @@ FrameId Kernel::TierTakeFrame(int tier, SimDuration* cost) {
     vpte.tier = static_cast<uint8_t>(tier + 1);
     vpte.tier_frame = dest;
     *cost += deeper.demote_cost;
-    Hook(VmHookOp::kTierEvict, vas, vp, dest, tier, tier + 1);
+    Emit(VmHookOp::kTierEvict, releaser_thread_->id(), vas, vp, dest, tier, tier + 1);
   } else {
     // Last tier: the page falls out of the hierarchy. Its contents survive on
     // swap only if clean there already; a dirty victim charges a synchronous
@@ -780,7 +767,7 @@ FrameId Kernel::TierTakeFrame(int tier, SimDuration* cost) {
       ++stats_.tier_writebacks;
       *cost += plane.demote_cost;
     }
-    Hook(VmHookOp::kTierEvict, vas, vp, kNoFrame, tier, 0);
+    Emit(VmHookOp::kTierEvict, releaser_thread_->id(), vas, vp, kNoFrame, tier, 0);
   }
   plane.owner[static_cast<size_t>(victim)] = kNoAs;
   plane.vpage[static_cast<size_t>(victim)] = kNoVPage;
@@ -796,11 +783,11 @@ SimDuration Kernel::DemotePage(AddressSpace* as, VPage vpage, int depth) {
   const FrameId f = pte.frame;
   TierPlane& plane = tier_planes_[static_cast<size_t>(depth - 1)];
   const FrameId tf = TierTakeFrame(depth, &cost);
-  // Hook order matters for the oracle: kDemote sees the page still resident
+  // Event order matters for the oracle: kDemote sees the page still resident
   // on `f` and pops the tier pool's head, then the ordinary kUnmap/kFreePush
   // stream follows with the frame already clean (the contents moved, so no
   // writeback happens and the free push passes the oracle's dirty check).
-  Hook(VmHookOp::kDemote, as->id(), vpage, f, depth, tf);
+  Emit(VmHookOp::kDemote, releaser_thread_->id(), as->id(), vpage, f, depth, tf);
   UnmapFrame(as, vpage, FreedBy::kReleaser);
   plane.owner[static_cast<size_t>(tf)] = as->id();
   plane.vpage[static_cast<size_t>(tf)] = vpage;
@@ -857,9 +844,7 @@ Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
   if (t->fault_phase_ == Thread::FaultPhase::kIoDone) {
     const FrameId f = t->fault_frame_;
     frames_.set_io_busy(f, false);
-    if (TMH_UNLIKELY(observing_)) {
-      event_log_.Record(Now(), KernelEventType::kFaultEnd, t->id(), as->id(), op.vpage);
-    }
+    Emit(VmHookOp::kFaultEnd, t->id(), as->id(), op.vpage, f);
     MapFrame(as, op.vpage, f, /*validate=*/true);
     frames_.set_referenced(f, true);
     if (op.is_write) {
@@ -920,7 +905,7 @@ Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
     pte.valid = true;
     pte.invalid_reason = InvalidReason::kNone;
     frames_.set_referenced(pte.frame, true);
-    Hook(VmHookOp::kValidate, as->id(), op.vpage, pte.frame,
+    Emit(VmHookOp::kValidate, t->id(), as->id(), op.vpage, pte.frame,
          static_cast<int64_t>(old_reason));
     if (op.is_write) {
       MarkDirty(pte.frame);
@@ -947,37 +932,19 @@ Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
   }
 
   // Rescue: the frame that last held this page is still on the free list.
-  if (pte.frame != kNoFrame) {
-    if (frames_.IsPage(pte.frame, as->id(), op.vpage) && frames_.contents_valid(pte.frame) &&
-        !frames_.io_busy(pte.frame) && free_list_.Contains(pte.frame)) {
-      const FreedBy freed_by = frames_.freed_by(pte.frame);
-      free_list_.Remove(pte.frame);
-      Hook(VmHookOp::kRescue, as->id(), op.vpage, pte.frame,
-           static_cast<int64_t>(freed_by));
-      if (freed_by == FreedBy::kDaemon) {
-        ++stats_.rescued_daemon_freed;
-        ++as->stats().rescued_from_steal;
-      } else {
-        ++stats_.rescued_release_freed;
-        ++as->stats().rescued_from_release;
-      }
-      if (TMH_UNLIKELY(observing_)) {
-        RecordRescue(t, as, op.vpage, pte.frame, freed_by);
-      }
-      const FrameId f = pte.frame;
-      MapFrame(as, op.vpage, f, /*validate=*/true);
-      frames_.set_referenced(f, true);
-      if (op.is_write) {
-        MarkDirty(f);
-      }
-      Charge(t, elapsed, costs.rescue_fault, &TimeBreakdown::system);
-      ++t->faults_.rescue_faults;
-      UpdateSharedHeader(as);
-      ReleaseLock(t, lock);
-      Charge(t, elapsed, op.duration, &TimeBreakdown::user);
-      return ExecResult::kCompleted;
+  if (TryRescue(t, as, op.vpage)) {
+    const FrameId f = pte.frame;
+    MapFrame(as, op.vpage, f, /*validate=*/true);
+    frames_.set_referenced(f, true);
+    if (op.is_write) {
+      MarkDirty(f);
     }
-    pte.frame = kNoFrame;  // stale link
+    Charge(t, elapsed, costs.rescue_fault, &TimeBreakdown::system);
+    ++t->faults_.rescue_faults;
+    UpdateSharedHeader(as);
+    ReleaseLock(t, lock);
+    Charge(t, elapsed, op.duration, &TimeBreakdown::user);
+    return ExecResult::kCompleted;
   }
 
   // Local replacement (extension): a process at its partition cap evicts one
@@ -992,9 +959,7 @@ Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
   if (f == kNoFrame) {
     // No memory: wake the daemon and wait for a free frame, then retry.
     ++stats_.memory_waits;
-    if (TMH_UNLIKELY(observing_)) {
-      event_log_.Record(Now(), KernelEventType::kMemoryWaitBegin, t->id(), as->id(), op.vpage);
-    }
+    Emit(VmHookOp::kMemoryWaitBegin, t->id(), as->id(), op.vpage, kNoFrame);
     WakeDaemon();
     ReleaseLock(t, lock);
     memory_wait_.Enqueue(t);
@@ -1016,7 +981,7 @@ Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
       // dirty bit while replaying kPromote (a migration, not a first store).
       frames_.set_dirty(f, true);
     }
-    Hook(VmHookOp::kPromote, as->id(), op.vpage, f, tier, tf);
+    Emit(VmHookOp::kPromote, t->id(), as->id(), op.vpage, f, tier, tf);
     plane.owner[static_cast<size_t>(tf)] = kNoAs;
     plane.vpage[static_cast<size_t>(tf)] = kNoVPage;
     plane.dirty[static_cast<size_t>(tf)] = 0;
@@ -1076,9 +1041,7 @@ Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
   }
   UpdateSharedHeader(as);
   ReleaseLock(t, lock);
-  if (TMH_UNLIKELY(observing_)) {
-    event_log_.Record(Now(), KernelEventType::kFaultBegin, t->id(), as->id(), op.vpage);
-  }
+  Emit(VmHookOp::kFaultBegin, t->id(), as->id(), op.vpage, f);
   Block(t, Thread::BlockReason::kIo, *elapsed);
   swap_->ReadPage(as->SwapSlot(op.vpage), [this, t]() {
     t->fault_phase_ = Thread::FaultPhase::kIoDone;
@@ -1115,9 +1078,7 @@ Kernel::ExecResult Kernel::DoPrefetch(Thread* t, Op& op, SimDuration* elapsed) {
   if (t->fault_phase_ == Thread::FaultPhase::kIoDone) {
     const FrameId f = t->fault_frame_;
     frames_.set_io_busy(f, false);
-    if (TMH_UNLIKELY(observing_)) {
-      event_log_.Record(Now(), KernelEventType::kPrefetchComplete, t->id(), as->id(), op.vpage);
-    }
+    Emit(VmHookOp::kPrefetchComplete, t->id(), as->id(), op.vpage, f);
     MapFrame(as, op.vpage, f, /*validate=*/false);
     t->fault_phase_ = Thread::FaultPhase::kNone;
     t->fault_frame_ = kNoFrame;
@@ -1150,30 +1111,11 @@ Kernel::ExecResult Kernel::DoPrefetch(Thread* t, Op& op, SimDuration* elapsed) {
   }
 
   // Rescue via prefetch: free-list frame still holds the data.
-  if (pte.frame != kNoFrame) {
-    if (frames_.IsPage(pte.frame, as->id(), op.vpage) && frames_.contents_valid(pte.frame) &&
-        !frames_.io_busy(pte.frame) && free_list_.Contains(pte.frame)) {
-      const FreedBy freed_by = frames_.freed_by(pte.frame);
-      free_list_.Remove(pte.frame);
-      Hook(VmHookOp::kRescue, as->id(), op.vpage, pte.frame,
-           static_cast<int64_t>(freed_by));
-      if (freed_by == FreedBy::kDaemon) {
-        ++stats_.rescued_daemon_freed;
-        ++as->stats().rescued_from_steal;
-      } else {
-        ++stats_.rescued_release_freed;
-        ++as->stats().rescued_from_release;
-      }
-      if (TMH_UNLIKELY(observing_)) {
-        RecordRescue(t, as, op.vpage, pte.frame, freed_by);
-      }
-      const FrameId f = pte.frame;
-      MapFrame(as, op.vpage, f, /*validate=*/false);
-      UpdateSharedHeader(as);
-      ReleaseLock(t, lock);
-      return ExecResult::kCompleted;
-    }
-    pte.frame = kNoFrame;
+  if (TryRescue(t, as, op.vpage)) {
+    MapFrame(as, op.vpage, pte.frame, /*validate=*/false);
+    UpdateSharedHeader(as);
+    ReleaseLock(t, lock);
+    return ExecResult::kCompleted;
   }
 
   // A page held in a slow tier promotes on touch, never on prefetch: the
@@ -1200,9 +1142,7 @@ Kernel::ExecResult Kernel::DoPrefetch(Thread* t, Op& op, SimDuration* elapsed) {
   if (partition > 0 && as->page_table().resident_count() >= partition) {
     ++stats_.prefetch_dropped;
     ++as->stats().prefetches_dropped;
-    if (TMH_UNLIKELY(observing_)) {
-      event_log_.Record(Now(), KernelEventType::kPrefetchDrop, t->id(), as->id(), op.vpage);
-    }
+    Emit(VmHookOp::kPrefetchDrop, t->id(), as->id(), op.vpage, kNoFrame);
     ReleaseLock(t, lock);
     return ExecResult::kCompleted;
   }
@@ -1212,9 +1152,7 @@ Kernel::ExecResult Kernel::DoPrefetch(Thread* t, Op& op, SimDuration* elapsed) {
   if (f == kNoFrame) {
     ++stats_.prefetch_dropped;
     ++as->stats().prefetches_dropped;
-    if (TMH_UNLIKELY(observing_)) {
-      event_log_.Record(Now(), KernelEventType::kPrefetchDrop, t->id(), as->id(), op.vpage);
-    }
+    Emit(VmHookOp::kPrefetchDrop, t->id(), as->id(), op.vpage, kNoFrame);
     WakeDaemon();
     ReleaseLock(t, lock);
     return ExecResult::kCompleted;
@@ -1227,9 +1165,7 @@ Kernel::ExecResult Kernel::DoPrefetch(Thread* t, Op& op, SimDuration* elapsed) {
   as->bitmap()->Set(op.vpage);
   ++stats_.prefetch_io;
   ReleaseLock(t, lock);
-  if (TMH_UNLIKELY(observing_)) {
-    event_log_.Record(Now(), KernelEventType::kPrefetchIssue, t->id(), as->id(), op.vpage);
-  }
+  Emit(VmHookOp::kPrefetchIssue, t->id(), as->id(), op.vpage, f);
   Block(t, Thread::BlockReason::kIo, *elapsed);
   swap_->ReadPage(as->SwapSlot(op.vpage), [this, t]() {
     t->fault_phase_ = Thread::FaultPhase::kIoDone;
@@ -1266,31 +1202,7 @@ Kernel::ExecResult Kernel::DoRelease(Thread* t, Op& op, SimDuration* elapsed) {
 
   bool enqueued_any = false;
   for (VPage p = op.vpage; p < op.vpage + op.count; ++p) {
-    if (p < 0 || p >= as->num_pages()) {
-      continue;
-    }
-    Pte& pte = as->page_table().at(p);
-    if (!pte.resident || pte.invalid_reason == InvalidReason::kReleasePending) {
-      continue;  // nothing resident, or already queued
-    }
-    if (frames_.io_busy(pte.frame)) {
-      continue;
-    }
-    // Clear the bit and invalidate the mapping so any re-reference before the
-    // releaser gets to it takes a soft fault that re-sets the bit.
-    if (as->HasPagingDirected()) {
-      as->bitmap()->Clear(p);
-    }
-    pte.valid = false;
-    pte.invalid_reason = InvalidReason::kReleasePending;
-    release_work_.push_back(ReleaseWorkItem{as, p, depth});
-    if (TMH_UNLIKELY(observing_)) {
-      event_log_.Record(Now(), KernelEventType::kReleaseEnqueue, t->id(), as->id(), p);
-    }
-    ++stats_.release_pages_enqueued;
-    ++as->stats().release_pages_requested;
-    Hook(VmHookOp::kReleaseEnqueue, as->id(), p, pte.frame);
-    enqueued_any = true;
+    enqueued_any |= EnqueueRelease(t->id(), as, p, depth);
   }
   UpdateSharedHeader(as);
   ReleaseLock(t, lock);
@@ -1298,6 +1210,31 @@ Kernel::ExecResult Kernel::DoRelease(Thread* t, Op& op, SimDuration* elapsed) {
     Signal(&releaser_->wait_queue());
   }
   return ExecResult::kCompleted;
+}
+
+bool Kernel::EnqueueRelease(int32_t tid, AddressSpace* as, VPage vpage, int32_t depth) {
+  if (vpage < 0 || vpage >= as->num_pages()) {
+    return false;
+  }
+  Pte& pte = as->page_table().at(vpage);
+  if (!pte.resident || pte.invalid_reason == InvalidReason::kReleasePending) {
+    return false;  // nothing resident, or already queued
+  }
+  if (frames_.io_busy(pte.frame)) {
+    return false;
+  }
+  // Clear the bit and invalidate the mapping so any re-reference before the
+  // releaser gets to it takes a soft fault that re-sets the bit.
+  if (as->HasPagingDirected()) {
+    as->bitmap()->Clear(vpage);
+  }
+  pte.valid = false;
+  pte.invalid_reason = InvalidReason::kReleasePending;
+  release_work_.push_back(ReleaseWorkItem{as, vpage, depth});
+  ++stats_.release_pages_enqueued;
+  ++as->stats().release_pages_requested;
+  Emit(VmHookOp::kReleaseEnqueue, tid, as->id(), vpage, pte.frame);
+  return true;
 }
 
 // --- online access monitoring entry points -----------------------------------
@@ -1327,37 +1264,18 @@ bool Kernel::MonitorSamplePage(AddressSpace* as, VPage vpage) {
   frames_.set_referenced(pte.frame, false);
   ++stats_.monitor_invalidations;
   ++as->stats().invalidations_received;
-  Hook(VmHookOp::kInvalidate, as->id(), vpage, pte.frame);
+  Emit(VmHookOp::kInvalidate, kKernelTid, as->id(), vpage, pte.frame,
+       static_cast<int64_t>(InvalidReason::kMonitorSampled));
   return true;
 }
 
 bool Kernel::MonitorEnqueueRelease(AddressSpace* as, VPage vpage, int32_t depth) {
-  if (vpage < 0 || vpage >= as->num_pages()) {
+  // The release syscall's per-page body: the releaser and the rescue path
+  // cannot tell a monitor-issued release from a compiler-inserted one.
+  if (!EnqueueRelease(kKernelTid, as, vpage, depth)) {
     return false;
   }
-  Pte& pte = as->page_table().at(vpage);
-  if (!pte.resident || pte.invalid_reason == InvalidReason::kReleasePending) {
-    return false;  // nothing resident, or already queued
-  }
-  if (frames_.io_busy(pte.frame)) {
-    return false;
-  }
-  // Per-page body of the release syscall (DoRelease), verbatim: the releaser
-  // and the rescue path cannot tell a monitor-issued release from a
-  // compiler-inserted one.
-  if (as->HasPagingDirected()) {
-    as->bitmap()->Clear(vpage);
-  }
-  pte.valid = false;
-  pte.invalid_reason = InvalidReason::kReleasePending;
-  release_work_.push_back(ReleaseWorkItem{as, vpage, depth});
-  if (TMH_UNLIKELY(observing_)) {
-    event_log_.Record(Now(), KernelEventType::kReleaseEnqueue, /*thread=*/0, as->id(), vpage);
-  }
-  ++stats_.release_pages_enqueued;
   ++stats_.monitor_releases_enqueued;
-  ++as->stats().release_pages_requested;
-  Hook(VmHookOp::kReleaseEnqueue, as->id(), vpage, pte.frame);
   return true;
 }
 

@@ -25,11 +25,10 @@
 #include "src/os/address_space.h"
 #include "src/sim/compiler_hints.h"
 #include "src/os/config.h"
+#include "src/os/event_log.h"
 #include "src/os/thread.h"
 #include "src/os/vm_hooks.h"
-#include "src/sim/event_log.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/metrics.h"
 #include "src/sim/ring_buffer.h"
 #include "src/sim/trace.h"
 #include "src/vm/frame_pool.h"
@@ -106,15 +105,15 @@ class Kernel {
 
   // --- observability ----------------------------------------------------------
 
-  // Turns on the structured event log and the metrics registry (typed kernel
-  // events with thread/AS attribution; latency histograms for fault service,
-  // prefetch queue wait, and release-to-rescue distance). Call before creating
-  // address spaces or spawning threads so their names reach the trace. When
-  // not enabled, every recording site reduces to one predicted-false branch.
-  void EnableObservability(size_t max_events = EventLog::kDefaultCapacity);
-  [[nodiscard]] bool observing() const { return observing_; }
-  [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] EventLog& event_log() { return event_log_; }
+  // Installs the recorder (src/os/event_log.h) as a sink of the observer
+  // stream: the structured event log with thread/AS attribution, and the
+  // metrics registry with latency histograms for fault service, prefetch
+  // queue wait, and release-to-rescue distance. Call before creating address
+  // spaces or spawning threads so their names reach the trace.
+  void EnableObservability();
+  // The recorder (its metrics registry and event log); nullptr until
+  // EnableObservability.
+  [[nodiscard]] EventRecorder* recorder() { return recorder_.get(); }
   // Copies the end-of-run aggregates (KernelStats, per-AS stats, swap totals)
   // into the registry so one TextDump carries counters and histograms alike.
   // Idempotent; typically called once after the run.
@@ -122,12 +121,25 @@ class Kernel {
 
   // --- correctness checking ---------------------------------------------------
 
-  // Attaches (or, with nullptr, detaches) a VmChecker. While attached, every
-  // semantic VM transition is narrated to it (src/os/vm_hooks.h) and it is
-  // given a cross-validation opportunity after each simulation event. When
-  // detached every hook site is one predicted-false branch.
-  void AttachChecker(VmChecker* checker) { checker_ = checker; }
-  [[nodiscard]] bool checking() const { return checker_ != nullptr; }
+  // Attaches (or, with nullptr, detaches) a VmChecker, replacing any earlier
+  // one. While attached it is a sink of the observer stream and is given a
+  // cross-validation opportunity after each simulation event. Attaching
+  // changes neither the dispatch path nor the simulated run.
+  void AttachChecker(VmChecker* checker) {
+    checker_ = checker;
+    observed_ = checker_ != nullptr || recorder_ != nullptr;
+  }
+
+  // Emits one event of the observer stream (src/os/vm_hooks.h) to the
+  // attached checker and the recorder: the kernel's single emit point, one
+  // predicted-false test when neither is attached. Components outside the
+  // kernel (the run-time layer) emit only kinds that are not VM transitions.
+  void Emit(VmHookOp op, int32_t tid, AsId as, VPage vpage, FrameId frame, int64_t a = 0,
+            int64_t b = 0) {
+    if (TMH_UNLIKELY(observed_)) {
+      Deliver(VmHookEvent{queue_.Now(), op, tid, as, frame, vpage, a, b});
+    }
+  }
 
   // --- online access monitoring -----------------------------------------------
   // (Used by src/monitor/access_monitor.h. The monitor drives itself from the
@@ -280,24 +292,21 @@ class Kernel {
   ExecResult DoTouch(Thread* t, Op& op, SimDuration* elapsed);
   ExecResult DoPrefetch(Thread* t, Op& op, SimDuration* elapsed);
   ExecResult DoRelease(Thread* t, Op& op, SimDuration* elapsed);
+  // Per-page body of a release: invalidates the mapping, marks it
+  // release-pending and queues it for the releaser. False if the page was
+  // out of range, not resident, already queued, or mid-I/O.
+  bool EnqueueRelease(int32_t tid, AddressSpace* as, VPage vpage, int32_t depth);
   // Acquires `lock` for `t` or blocks it. Returns true when the lock is held.
   bool AcquireOrBlock(Thread* t, MemoryLock& lock, SimDuration* elapsed);
   void ReleaseLock(Thread* t, MemoryLock& lock);
 
-  // Narrates one semantic transition to the attached checker (no-op branch
-  // when none is attached).
-  void Hook(VmHookOp op, AsId as, VPage vpage, FrameId frame, int64_t a = 0, int64_t b = 0) {
-    if (TMH_UNLIKELY(checker_ != nullptr)) {
-      checker_->OnVmEvent(VmHookEvent{queue_.Now(), op, as, vpage, frame, a, b});
-    }
-  }
+  // Emit's out-of-line half: hands `event` to every attached sink.
+  void Deliver(const VmHookEvent& event);
   // Sets a frame's dirty bit, narrating the clean->dirty transition.
   void MarkDirty(FrameId f) {
     if (!frames_.dirty(f)) {
       frames_.set_dirty(f, true);
-      if (TMH_UNLIKELY(checker_ != nullptr)) {
-        Hook(VmHookOp::kDirty, frames_.owner(f), frames_.vpage(f), f);
-      }
+      Emit(VmHookOp::kDirty, kKernelTid, frames_.owner(f), frames_.vpage(f), f);
     }
   }
 
@@ -329,9 +338,11 @@ class Kernel {
   // onto an in-flight prefetch/page-in, or wait for a writeback to finish).
   void WaitOnFrame(Thread* t, FrameId f, SimDuration elapsed);
   void WakeFrameWaiters(FrameId f);
-  // Observability bookkeeping for a free-list rescue (event + distance
-  // histogram). Call only when observing_, before MapFrame resets freed_by.
-  void RecordRescue(Thread* t, AddressSpace* as, VPage vpage, FrameId f, FreedBy freed_by);
+  // Takes (as, vpage)'s last frame back off the free list if it still holds
+  // the page's contents (caller holds the AS lock; the page is not resident
+  // and no I/O is in flight on the link). Clears a stale link and returns
+  // false otherwise.
+  bool TryRescue(Thread* t, AddressSpace* as, VPage vpage);
   // Local-replacement extension: evicts one of `as`'s own pages (round-robin
   // clock over its page table). Returns true if a victim was freed.
   bool EvictLocalVictim(AddressSpace* as);
@@ -373,14 +384,15 @@ class Kernel {
   // Bumped on every thread transition into State::kDone. RunUntilThreadsDone
   // gates its (otherwise per-event) predicate re-evaluation on this counter.
   uint64_t done_generation_ = 1;
-  // Stop predicate installed by RunUntilDone for the duration of its batched
-  // run loop. TryDispatch consults it before taking the inline fast path: once
-  // it fires, dispatch reverts to queued zero-delay events so the run loop
-  // observes the same stop boundary the one-event-at-a-time loop would (the
-  // inline path would otherwise fuse the dispatch into the waking event and
-  // run the slice past the requested stop point). Must be side-effect free;
-  // `stop_hint_fired_` latches the result so it is evaluated at most once per
-  // dispatch attempt after firing.
+  // Stop predicate installed by RunUntilDone for the duration of its run
+  // loop. RunWhile checks the predicate only between events, but an inline
+  // slice runs inside the event that woke its thread. Once the predicate
+  // holds, TryDispatch therefore takes the queued path, so the predicate gets
+  // its check between events before the slice runs; without the latch the
+  // slice would run past the requested stop point
+  // (KernelTest.RunUntilDoneStopsOnPredicate fails). Must be side-effect
+  // free; `stop_hint_fired_` latches the result so it is evaluated at most
+  // once per dispatch attempt after firing.
   const std::function<bool()>* stop_hint_ = nullptr;
   bool stop_hint_fired_ = false;
   bool StopHintFires();
@@ -409,23 +421,14 @@ class Kernel {
   void TraceTick(SimDuration period);
   TraceRecorder trace_;
 
-  // Correctness checking (dormant unless AttachChecker ran).
+  // Sinks of the observer stream (dormant unless AttachChecker or
+  // EnableObservability ran); observed_ is true while either is attached.
   VmChecker* checker_ = nullptr;
+  std::unique_ptr<EventRecorder> recorder_;
+  bool observed_ = false;
 
   // Online access monitoring (dormant unless AttachMonitor ran).
   AccessMonitor* monitor_ = nullptr;
-
-  // Observability (all dormant unless EnableObservability ran).
-  bool observing_ = false;
-  MetricsRegistry metrics_;
-  EventLog event_log_;
-  // Hot-path histogram handles, resolved once at enable time.
-  Histogram* hist_fault_service_ = nullptr;
-  Histogram* hist_rescue_release_ = nullptr;
-  Histogram* hist_rescue_daemon_ = nullptr;
-  Gauge* gauge_free_pages_ = nullptr;
-  // When each free frame entered the free list (rescue-distance measurement).
-  std::unordered_map<FrameId, SimTime> freed_at_;
 };
 
 }  // namespace tmh

@@ -199,13 +199,9 @@ SimDuration PagingDaemon::ProcessBatch() {
     }
     if (!victims.empty()) {
       k.UpdateSharedHeader(batch_as_);
-      k.Hook(VmHookOp::kDaemonSweep, batch_as_->id(), kNoVPage, kNoFrame, stolen);
       const SimDuration total = std::max<SimDuration>(cost, 1);
-      if (TMH_UNLIKELY(k.observing_)) {
-        k.event_log_.Record(k.Now(), KernelEventType::kDaemonSweep,
-                            k.daemon_thread_->id(), batch_as_->id(),
-                            static_cast<VPage>(stolen), total);
-      }
+      k.Emit(VmHookOp::kDaemonSweep, k.daemon_thread_->id(), batch_as_->id(), kNoVPage,
+             kNoFrame, stolen, total);
       return total;
     }
     // Handler had nothing to offer: fall through to the normal clock pass.
@@ -232,7 +228,8 @@ SimDuration PagingDaemon::ProcessBatch() {
       frames.set_referenced(f, false);
       ++k.stats_.daemon_invalidations;
       ++batch_as_->stats().invalidations_received;
-      k.Hook(VmHookOp::kInvalidate, batch_as_->id(), vpage, f);
+      k.Emit(VmHookOp::kInvalidate, k.daemon_thread_->id(), batch_as_->id(), vpage, f,
+             static_cast<int64_t>(InvalidReason::kDaemonInvalidated));
     } else if (k.free_list_.size() >= target &&
                batch_as_->page_table().resident_count() <=
                    k.config_.tunables.maxrss_pages) {
@@ -250,13 +247,9 @@ SimDuration PagingDaemon::ProcessBatch() {
     }
   }
   k.UpdateSharedHeader(batch_as_);
-  k.Hook(VmHookOp::kDaemonSweep, batch_as_->id(), kNoVPage, kNoFrame, stolen);
   const SimDuration total = std::max<SimDuration>(cost, 1);
-  if (TMH_UNLIKELY(k.observing_)) {
-    k.event_log_.Record(k.Now(), KernelEventType::kDaemonSweep,
-                        k.daemon_thread_->id(), batch_as_->id(),
-                        static_cast<VPage>(stolen), total);
-  }
+  k.Emit(VmHookOp::kDaemonSweep, k.daemon_thread_->id(), batch_as_->id(), kNoVPage, kNoFrame,
+         stolen, total);
   return total;
 }
 

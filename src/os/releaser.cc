@@ -67,16 +67,11 @@ SimDuration Releaser::ProcessBatch() {
     // Re-check that the page has not been referenced again (a re-touch
     // revalidated the mapping and re-set the bitmap bit) and is still ours.
     if (!pte.resident || pte.valid ||
-        pte.invalid_reason != InvalidReason::kReleasePending) {
+        pte.invalid_reason != InvalidReason::kReleasePending ||
+        !frames.mapped(pte.frame) || frames.io_busy(pte.frame)) {
       ++k.stats_.releaser_skipped;
       ++as_stats.releases_skipped;
-      k.Hook(VmHookOp::kReleaseSkip, batch_as_->id(), p, pte.frame);
-      continue;
-    }
-    if (!frames.mapped(pte.frame) || frames.io_busy(pte.frame)) {
-      ++k.stats_.releaser_skipped;
-      ++as_stats.releases_skipped;
-      k.Hook(VmHookOp::kReleaseSkip, batch_as_->id(), p, pte.frame);
+      k.Emit(VmHookOp::kReleaseSkip, k.releaser_thread_->id(), batch_as_->id(), p, pte.frame);
       continue;
     }
     const FrameId f = pte.frame;
@@ -91,20 +86,13 @@ SimDuration Releaser::ProcessBatch() {
     ++k.stats_.releaser_pages_freed;
     ++as_stats.pages_released;
     ++freed;
-    if (TMH_UNLIKELY(k.observing_)) {
-      k.event_log_.Record(k.Now(), KernelEventType::kReleaseFree,
-                          k.releaser_thread_->id(), batch_as_->id(), p);
-    }
+    k.Emit(VmHookOp::kReleaseFree, k.releaser_thread_->id(), batch_as_->id(), p, f);
   }
   k.UpdateSharedHeader(batch_as_);
   batch_resolved_ = true;
-  k.Hook(VmHookOp::kReleaserBatch, batch_as_->id(), kNoVPage, kNoFrame, freed);
   const SimDuration total = std::max<SimDuration>(cost, 1);
-  if (TMH_UNLIKELY(k.observing_)) {
-    k.event_log_.Record(k.Now(), KernelEventType::kReleaserBatch,
-                        k.releaser_thread_->id(), batch_as_->id(),
-                        static_cast<VPage>(freed), total);
-  }
+  k.Emit(VmHookOp::kReleaserBatch, k.releaser_thread_->id(), batch_as_->id(), kNoVPage,
+         kNoFrame, freed, total);
   return total;
 }
 

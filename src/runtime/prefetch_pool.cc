@@ -6,8 +6,8 @@ namespace tmh {
 
 PrefetchPool::PrefetchPool(Kernel* kernel, AddressSpace* as, int num_threads, size_t max_queue)
     : kernel_(kernel), as_(as), max_queue_(max_queue) {
-  if (kernel_->observing()) {
-    hist_queue_wait_ = kernel_->metrics().GetHistogram(
+  if (EventRecorder* recorder = kernel_->recorder()) {
+    hist_queue_wait_ = recorder->metrics().GetHistogram(
         "prefetch.queue_wait_ns", ExponentialBounds(1000.0, 2.0, 26),
         {{"as", as_->name()}});
   }

@@ -63,8 +63,8 @@ class PrefetchPool {
   uint64_t duplicates_ = 0;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<Thread*> worker_threads_;
-  // Observability (set only when the kernel was observing at construction):
-  // how long requests sat queued before a worker picked them up.
+  // Observability (set only when the kernel's recorder was installed at
+  // construction): how long requests sat queued before a worker picked them up.
   Histogram* hist_queue_wait_ = nullptr;
   std::unordered_map<VPage, SimTime> enqueued_at_;
 };

@@ -203,11 +203,8 @@ void RuntimeLayer::MaybeDrain(std::vector<Op>& out) {
       break;
     }
   }
-  if (kernel_->observing()) {
-    kernel_->event_log().Record(kernel_->Now(), KernelEventType::kRuntimeDrain,
-                                /*tid=*/0, as_->id(), kNoVPage,
-                                options_.release_batch - remaining);
-  }
+  kernel_->Emit(VmHookOp::kRuntimeDrain, kKernelTid, as_->id(), kNoVPage, kNoFrame,
+                options_.release_batch - remaining);
 }
 
 std::vector<VPage> RuntimeLayer::TakeEvictionCandidates(int64_t count) {

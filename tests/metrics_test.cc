@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/core/experiment.h"
-#include "src/sim/event_log.h"
+#include "src/os/event_log.h"
 #include "src/workloads/workloads.h"
 
 namespace tmh {
@@ -87,9 +87,13 @@ TEST(MetricsRegistryTest, TextDumpCarriesEveryKind) {
 
 // --- EventLog ----------------------------------------------------------------
 
+VmHookEvent Event(SimTime when, VmHookOp op, int64_t a = 0) {
+  return VmHookEvent{when, op, /*tid=*/1, /*as=*/0, kNoFrame, /*vpage=*/42, a};
+}
+
 TEST(EventLogTest, DisabledRecordIsANoOp) {
   EventLog log;
-  log.Record(100, KernelEventType::kFaultBegin, 1, 0, 42);
+  log.Record(Event(100, VmHookOp::kFaultBegin));
   EXPECT_TRUE(log.events().empty());
   EXPECT_EQ(log.dropped(), 0u);
 }
@@ -98,18 +102,42 @@ TEST(EventLogTest, CapacityDropsAndCounts) {
   EventLog log;
   log.Enable(/*capacity=*/3);
   for (int i = 0; i < 5; ++i) {
-    log.Record(i, KernelEventType::kReleaseEnqueue, 1, 0, i);
+    log.Record(Event(i, VmHookOp::kReleaseEnqueue));
   }
   EXPECT_EQ(log.events().size(), 3u);
   EXPECT_EQ(log.dropped(), 2u);
-  EXPECT_EQ(log.Count(KernelEventType::kReleaseEnqueue), 3u);
-  EXPECT_EQ(log.Count(KernelEventType::kFaultBegin), 0u);
+  EXPECT_EQ(log.Count(VmHookOp::kReleaseEnqueue), 3u);
+  EXPECT_EQ(log.Count(VmHookOp::kFaultBegin), 0u);
+}
+
+TEST(EventLogTest, KeepsOnlyRenderedKinds) {
+  EventLog log;
+  log.Enable();
+  log.Record(Event(1, VmHookOp::kAlloc));
+  log.Record(Event(2, VmHookOp::kIoWake));
+  log.Record(Event(3, VmHookOp::kInvalidate,
+                   static_cast<int64_t>(InvalidReason::kDaemonInvalidated)));
+  log.Record(Event(4, VmHookOp::kInvalidate,
+                   static_cast<int64_t>(InvalidReason::kMonitorSampled)));
+  ASSERT_EQ(log.events().size(), 1u);
+  EXPECT_EQ(log.events()[0].when, 4);
+  EXPECT_EQ(log.dropped(), 0u);
 }
 
 TEST(EventLogTest, EventNamesAreStable) {
-  EXPECT_STREQ(KernelEventName(KernelEventType::kFaultBegin), "hard_fault");
-  EXPECT_STREQ(KernelEventName(KernelEventType::kDaemonSweep), "daemon_sweep");
-  EXPECT_STREQ(KernelEventName(KernelEventType::kFreePagesSample), "free_pages");
+  const auto name = [](VmHookOp op, int64_t a = 0) {
+    return EventLog::RenderedName(Event(0, op, a));
+  };
+  EXPECT_STREQ(name(VmHookOp::kFaultBegin), "hard_fault");
+  EXPECT_STREQ(name(VmHookOp::kDaemonSweep), "daemon_sweep");
+  EXPECT_STREQ(name(VmHookOp::kFreePagesSample), "free_pages");
+  EXPECT_STREQ(name(VmHookOp::kRescue, static_cast<int64_t>(FreedBy::kReleaser)),
+               "release_rescue");
+  EXPECT_STREQ(name(VmHookOp::kRescue, static_cast<int64_t>(FreedBy::kDaemon)),
+               "daemon_rescue");
+  EXPECT_STREQ(name(VmHookOp::kInvalidate, static_cast<int64_t>(InvalidReason::kMonitorSampled)),
+               "monitor_sample");
+  EXPECT_EQ(name(VmHookOp::kMap), nullptr);
 }
 
 // --- A minimal JSON parser (no third-party dependency) -----------------------
@@ -311,13 +339,12 @@ ExperimentResult RunObservedMatvec(AppVersion version) {
   return RunExperiment(spec);
 }
 
-TEST(ChromeTraceTest, ExportParsesAndSpansPair) {
-  const ExperimentResult result = RunObservedMatvec(AppVersion::kBuffered);
-  ASSERT_TRUE(result.completed);
-  ASSERT_FALSE(result.event_log.events().empty());
-  EXPECT_EQ(result.event_log.dropped(), 0u);
-
-  const std::string json = result.event_log.ToChromeTrace();
+// Parses `log`'s Chrome trace export and checks its structure: valid JSON,
+// every B closed by a properly nested E of the same name on its thread,
+// timestamps monotone per thread, and a duration on every X span. Counts the
+// non-metadata records per name into `names`.
+void CheckChromeTrace(const EventLog& log, std::map<std::string, size_t>* names) {
+  const std::string json = log.ToChromeTrace();
   JsonValue root;
   ASSERT_TRUE(JsonParser(json).Parse(&root)) << "export is not valid JSON";
   ASSERT_EQ(root.kind, JsonValue::Kind::kObject);
@@ -327,8 +354,6 @@ TEST(ChromeTraceTest, ExportParsesAndSpansPair) {
   const std::vector<JsonValue>& events = events_it->second.array;
   ASSERT_GT(events.size(), 2u);
 
-  // Every B on a thread must close with an E of the same name, properly
-  // nested (a stack per tid), and timestamps must be monotone per thread.
   std::map<int, std::vector<std::string>> open_spans;
   std::map<int, double> last_ts;
   size_t metadata = 0;
@@ -353,6 +378,7 @@ TEST(ChromeTraceTest, ExportParsesAndSpansPair) {
     EXPECT_GE(ts, last_ts[tid]) << "timestamps not monotone on tid " << tid;
     last_ts[tid] = ts;
     const std::string& name = e.object.find("name")->second.str;
+    ++(*names)[name];
     if (ph == "B") {
       open_spans[tid].push_back(name);
     } else if (ph == "E") {
@@ -372,21 +398,62 @@ TEST(ChromeTraceTest, ExportParsesAndSpansPair) {
   }
   EXPECT_GT(metadata, 1u);  // process_name + at least one thread_name
   EXPECT_GT(spans_closed, 0u);
+}
+
+TEST(ChromeTraceTest, ExportParsesAndSpansPair) {
+  const ExperimentResult result = RunObservedMatvec(AppVersion::kBuffered);
+  ASSERT_TRUE(result.completed);
+  ASSERT_FALSE(result.event_log.events().empty());
+  EXPECT_EQ(result.event_log.dropped(), 0u);
+  std::map<std::string, size_t> names;
+  ASSERT_NO_FATAL_FAILURE(CheckChromeTrace(result.event_log, &names));
 
   // The B run must show the release pipeline end to end.
   const EventLog& log = result.event_log;
-  EXPECT_GT(log.Count(KernelEventType::kFaultBegin), 0u);
-  EXPECT_EQ(log.Count(KernelEventType::kFaultBegin), log.Count(KernelEventType::kFaultEnd));
-  EXPECT_GT(log.Count(KernelEventType::kPrefetchIssue), 0u);
-  EXPECT_GT(log.Count(KernelEventType::kReleaseEnqueue), 0u);
-  EXPECT_GT(log.Count(KernelEventType::kReleaseFree), 0u);
-  EXPECT_GT(log.Count(KernelEventType::kFreePagesSample), 0u);
+  EXPECT_GT(log.Count(VmHookOp::kFaultBegin), 0u);
+  EXPECT_EQ(log.Count(VmHookOp::kFaultBegin), log.Count(VmHookOp::kFaultEnd));
+  EXPECT_GT(log.Count(VmHookOp::kPrefetchIssue), 0u);
+  EXPECT_GT(log.Count(VmHookOp::kReleaseEnqueue), 0u);
+  EXPECT_GT(log.Count(VmHookOp::kReleaseFree), 0u);
+  EXPECT_GT(log.Count(VmHookOp::kFreePagesSample), 0u);
 
   // The metrics dump came along and carries both counters and histograms.
   EXPECT_NE(result.metrics_text.find("# tmh-metrics-v1"), std::string::npos);
   EXPECT_NE(result.metrics_text.find("counter kernel.hard_faults"), std::string::npos);
   EXPECT_NE(result.metrics_text.find("histogram kernel.fault_service_ns"), std::string::npos);
   EXPECT_NE(result.metrics_text.find("prefetch.queue_wait_ns"), std::string::npos);
+}
+
+TEST(ChromeTraceTest, TierMigrationsAndMonitorSamplesAppear) {
+  // Three tiers (DRAM plus two small slow tiers, so they overflow and cascade)
+  // with the access monitor on: every tier migration and every monitor
+  // sample is a state change the timeline must show.
+  ExperimentSpec spec;
+  spec.machine.user_memory_bytes = static_cast<int64_t>(7.5 * 1024 * 1024);
+  spec.machine.tiers.push_back(TierSpec{});  // tiers[0] = DRAM
+  for (const int64_t frames : {128, 64}) {
+    TierSpec tier;
+    tier.frames = frames;
+    spec.machine.tiers.push_back(tier);
+  }
+  spec.workload = MakeMatvec(0.1);
+  spec.version = AppVersion::kRelease;
+  spec.monitor = true;
+  spec.observe = true;
+  const ExperimentResult result = RunExperiment(spec);
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(result.event_log.dropped(), 0u);
+  std::map<std::string, size_t> names;
+  ASSERT_NO_FATAL_FAILURE(CheckChromeTrace(result.event_log, &names));
+
+  EXPECT_EQ(names["demote"], result.kernel.tier_demotions);
+  EXPECT_EQ(names["promote"], result.kernel.tier_promotions);
+  EXPECT_EQ(names["tier_evict"], result.kernel.tier_evictions);
+  EXPECT_EQ(names["monitor_sample"], result.kernel.monitor_invalidations);
+  EXPECT_GT(names["demote"], 0u);
+  EXPECT_GT(names["promote"], 0u);
+  EXPECT_GT(names["tier_evict"], 0u);
+  EXPECT_GT(names["monitor_sample"], 0u);
 }
 
 TEST(ChromeTraceTest, DisabledRunRecordsNothing) {

@@ -110,7 +110,7 @@ TEST(OracleKernelTest, DirtyReleaseWritesBackExactlyOnce) {
   EXPECT_EQ(kernel.swap().writes(), 1u);
   EXPECT_EQ(checker.oracle().writebacks(), 1u);
   kernel.PublishMetrics();
-  EXPECT_EQ(kernel.metrics().GetCounter("kernel.writebacks")->value(), 1u);
+  EXPECT_EQ(kernel.recorder()->metrics().GetCounter("kernel.writebacks")->value(), 1u);
   EXPECT_TRUE(checker.CheckNow(kernel)) << checker.failure();
 }
 
