@@ -120,19 +120,22 @@ struct SourceProgram {
 // Page-aligned layout of the program's arrays in its virtual address space.
 class ArrayLayout {
  public:
+  // Aborts with a message unless `page_size_bytes` is a power of two: page
+  // numbers are computed with a shift.
   ArrayLayout(const SourceProgram& program, int64_t page_size_bytes);
 
   // First virtual page of array `a`.
   [[nodiscard]] int64_t base_page(int32_t a) const { return base_pages_[static_cast<size_t>(a)]; }
-  // Virtual page holding element `index` of array `a`.
+  // Virtual page holding element `index` (0 <= index) of array `a`.
   [[nodiscard]] int64_t PageOf(int32_t a, int64_t element_index) const {
     return base_pages_[static_cast<size_t>(a)] +
-           (element_index * element_sizes_[static_cast<size_t>(a)]) / page_size_;
+           ((element_index * element_sizes_[static_cast<size_t>(a)]) >> page_shift_);
   }
   // Pages spanned by array `a`.
   [[nodiscard]] int64_t PageCount(int32_t a) const { return page_counts_[static_cast<size_t>(a)]; }
   [[nodiscard]] int64_t total_pages() const { return total_pages_; }
   [[nodiscard]] int64_t page_size() const { return page_size_; }
+  [[nodiscard]] int page_shift() const { return page_shift_; }  // log2(page_size())
   // Elements of array `a` per page (>= 1).
   [[nodiscard]] int64_t ElementsPerPage(int32_t a) const {
     const int64_t n = page_size_ / element_sizes_[static_cast<size_t>(a)];
@@ -141,6 +144,7 @@ class ArrayLayout {
 
  private:
   int64_t page_size_;
+  int page_shift_;
   std::vector<int64_t> base_pages_;
   std::vector<int64_t> page_counts_;
   std::vector<int64_t> element_sizes_;

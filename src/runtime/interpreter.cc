@@ -74,11 +74,10 @@ void Interpreter::EnterNest() {
   for (const Loop& loop : nest.loops) {
     ivs_.push_back(loop.lower);
   }
-  last_page_.assign(nest.refs.size(), -1);
-  nest_has_indirect_ = false;
-  for (const ArrayRef& ref : nest.refs) {
-    nest_has_indirect_ = nest_has_indirect_ || ref.IsIndirect();
-  }
+  const Loop& inner = nest.loops.back();
+  inner_trips_ = (inner.upper - inner.lower + inner.step - 1) / inner.step;
+  inner_left_ = inner_trips_;
+  LowerNest(compiled);
   in_nest_ = true;
   ++stats_.nests_entered;
 
@@ -89,21 +88,17 @@ void Interpreter::EnterNest() {
       if (d.kind != HintDirective::Kind::kPrefetch) {
         continue;
       }
-      const ArrayRef& ref = nest.refs[static_cast<size_t>(d.ref)];
-      if (ref.IsIndirect()) {
-        const Loop& inner = nest.loops.back();
-        const int64_t trips = (inner.upper - inner.lower + inner.step - 1) / inner.step;
-        const int64_t ahead = std::min<int64_t>(d.distance, trips - 1);
+      const LoweredRef& ref = refs_[static_cast<size_t>(d.ref)];
+      if (ref.index != nullptr) {
+        const int64_t ahead = std::min<int64_t>(d.distance, inner_trips_ - 1);
         for (int64_t k = 0; k <= ahead; ++k) {
-          cost += runtime_->OnPrefetchHint(PageOfRef(ref, k));
+          cost += runtime_->OnPrefetchHint(PageAt(ref, ref.value + k * ref.inner_delta));
         }
       } else {
-        const int64_t first = PageOfRef(ref, 0);
-        const int64_t array_base = prog_->layout.base_page(ref.array);
-        const int64_t array_end = array_base + prog_->layout.PageCount(ref.array) - 1;
+        const int64_t first = PageAt(ref, ref.value);
         for (int64_t k = 0; k <= d.distance; ++k) {
-          const int64_t page = std::clamp(first + k * d.direction, array_base, array_end);
-          cost += runtime_->OnPrefetchHint(page);
+          cost += runtime_->OnPrefetchHint(
+              std::clamp(first + k * d.direction, ref.first_page, ref.last_page));
         }
       }
     }
@@ -113,110 +108,71 @@ void Interpreter::EnterNest() {
   }
 }
 
-int64_t Interpreter::EvalElement(const ArrayRef& ref, int64_t inner_shift) const {
-  const LoopNest& nest = active_nest_->nest;
-  int64_t value;
-  if (inner_shift == 0) {
-    value = RuntimeExpr(ref).Eval(ivs_);
-  } else {
-    shifted_scratch_.assign(ivs_.begin(), ivs_.end());
-    shifted_scratch_.back() += inner_shift * nest.loops.back().step;
-    value = RuntimeExpr(ref).Eval(shifted_scratch_);
-  }
-  if (ref.IsIndirect()) {
-    const ArrayDecl& index_array =
-        prog_->source.arrays[static_cast<size_t>(ref.index_array)];
-    assert(index_array.index_values != nullptr && !index_array.index_values->empty());
-    const auto& values = *index_array.index_values;
-    const int64_t pos =
-        std::clamp<int64_t>(value, 0, static_cast<int64_t>(values.size()) - 1);
-    value = values[static_cast<size_t>(pos)];
-  }
-  const ArrayDecl& array = prog_->source.arrays[static_cast<size_t>(ref.array)];
-  return std::clamp<int64_t>(value, 0, std::max<int64_t>(array.num_elements - 1, 0));
-}
-
-int64_t Interpreter::PageOfRef(const ArrayRef& ref, int64_t inner_shift) const {
-  return prog_->layout.PageOf(ref.array, EvalElement(ref, inner_shift));
-}
-
-int64_t Interpreter::RunLength() const {
-  const LoopNest& nest = active_nest_->nest;
-  const Loop& inner = nest.loops.back();
-  const int64_t remaining = (inner.upper - ivs_.back() + inner.step - 1) / inner.step;
-  if (nest_has_indirect_) {
-    return 1;  // indirect targets change every iteration
-  }
-  int64_t run = remaining;
-  const int64_t page_size = prog_->layout.page_size();
+void Interpreter::LowerNest(const CompiledNest& compiled) {
+  const LoopNest& nest = compiled.nest;
+  const ArrayLayout& layout = prog_->layout;
+  const size_t inner = nest.loops.size() - 1;
+  refs_.clear();
+  nest_has_indirect_ = false;
   for (const ArrayRef& ref : nest.refs) {
-    const AffineExpr& expr = RuntimeExpr(ref);
-    const int64_t coeff = expr.coeffs.empty() ? 0 : expr.coeffs.back();
-    if (coeff == 0) {
-      continue;
-    }
+    const AffineExpr& expr = ref.runtime_affine != nullptr ? *ref.runtime_affine : ref.affine;
     const ArrayDecl& array = prog_->source.arrays[static_cast<size_t>(ref.array)];
-    const int64_t delta = coeff * inner.step * array.element_size;  // bytes per iteration
-    const int64_t byte = EvalElement(ref, 0) * array.element_size;
-    const int64_t offset = byte % page_size;
-    int64_t until_crossing;
-    if (delta > 0) {
-      until_crossing = (page_size - offset + delta - 1) / delta;
-    } else {
-      until_crossing = offset / (-delta) + 1;
+    LoweredRef lowered;
+    lowered.expr = &expr;
+    lowered.value = expr.Eval(ivs_);
+    lowered.inner_delta =
+        (inner < expr.coeffs.size() ? expr.coeffs[inner] : 0) * nest.loops[inner].step;
+    lowered.element_size = array.element_size;
+    lowered.element_last = std::max<int64_t>(array.num_elements - 1, 0);
+    lowered.first_page = layout.base_page(ref.array);
+    lowered.last_page = lowered.first_page + layout.PageCount(ref.array) - 1;
+    lowered.is_write = ref.is_write;
+    if (ref.IsIndirect()) {
+      const ArrayDecl& index_array = prog_->source.arrays[static_cast<size_t>(ref.index_array)];
+      assert(index_array.index_values != nullptr && !index_array.index_values->empty());
+      lowered.index = index_array.index_values->data();
+      lowered.index_last = static_cast<int64_t>(index_array.index_values->size()) - 1;
+      nest_has_indirect_ = true;
     }
-    run = std::min(run, std::max<int64_t>(until_crossing, 1));
+    refs_.push_back(lowered);
   }
-  return std::max<int64_t>(run, 1);
-}
-
-void Interpreter::FireDirectivesForCrossing(size_t ref_idx, int64_t page,
-                                            std::vector<Op>& sysops, SimDuration* cost) {
-  const CompiledNest& compiled = *active_nest_;
-  for (const HintDirective& d : compiled.directives) {
-    if (static_cast<size_t>(d.ref) != ref_idx || d.every_iteration) {
-      continue;
+  crossing_.clear();
+  every_iteration_.clear();
+  for (size_t r = 0; r < refs_.size(); ++r) {
+    refs_[r].crossing_begin = static_cast<uint32_t>(crossing_.size());
+    for (const HintDirective& d : compiled.directives) {
+      if (static_cast<size_t>(d.ref) == r && !d.every_iteration) {
+        crossing_.push_back(&d);
+      }
     }
-    const ArrayRef& ref = compiled.nest.refs[ref_idx];
-    if (d.kind == HintDirective::Kind::kPrefetch) {
-      const int64_t array_base = prog_->layout.base_page(ref.array);
-      const int64_t array_end = array_base + prog_->layout.PageCount(ref.array) - 1;
-      const int64_t target = std::clamp(page + d.distance * d.direction, array_base, array_end);
-      *cost += runtime_->OnPrefetchHint(target);
-    } else {
-      *cost += runtime_->OnReleaseHint(page, d.priority, d.tag, sysops);
-    }
+    refs_[r].crossing_end = static_cast<uint32_t>(crossing_.size());
   }
-}
-
-void Interpreter::FireEveryIterationDirectives(int64_t run, std::vector<Op>& sysops,
-                                               SimDuration* cost) {
-  const CompiledNest& compiled = *active_nest_;
   for (const HintDirective& d : compiled.directives) {
-    if (!d.every_iteration) {
-      continue;
-    }
-    const ArrayRef& ref = compiled.nest.refs[static_cast<size_t>(d.ref)];
-    if (d.kind == HintDirective::Kind::kPrefetch) {
-      // The generated code computes the real future address each iteration;
-      // within a one-page run the target is the same, so batch the filtering.
-      const int64_t target = ref.IsIndirect()
-                                 ? PageOfRef(ref, d.distance)
-                                 : std::clamp(PageOfRef(ref, 0) + d.distance * d.direction,
-                                              prog_->layout.base_page(ref.array),
-                                              prog_->layout.base_page(ref.array) +
-                                                  prog_->layout.PageCount(ref.array) - 1);
-      *cost += runtime_->OnPrefetchHintBatch(target, run);
-    } else {
-      *cost += runtime_->OnReleaseHintBatch(PageOfRef(ref, 0), d.priority, d.tag, run, sysops);
+    if (d.every_iteration) {
+      every_iteration_.push_back(&d);
     }
   }
 }
 
 void Interpreter::RunIterations() {
-  const CompiledNest& compiled = *active_nest_;
-  const LoopNest& nest = compiled.nest;
-  const int64_t run = RunLength();
+  // Each ref's page for this step, and the run: the iterations until the
+  // first page crossing, measured from the clamped element (so a ref held on
+  // its array's edge keeps reporting the crossing it would make).
+  const int64_t page_size = prog_->layout.page_size();
+  const int page_shift = prog_->layout.page_shift();
+  int64_t run = nest_has_indirect_ ? 1 : inner_left_;
+  for (LoweredRef& ref : refs_) {
+    const int64_t byte = ByteAt(ref, ref.value);
+    ref.page = ref.first_page + (byte >> page_shift);
+    const int64_t step_bytes = ref.inner_delta * ref.element_size;
+    if (step_bytes != 0 && !nest_has_indirect_) {
+      const int64_t offset = byte & (page_size - 1);
+      const int64_t until_crossing = step_bytes > 0
+                                         ? (page_size - offset + step_bytes - 1) / step_bytes
+                                         : offset / -step_bytes + 1;
+      run = std::min(run, until_crossing);
+    }
+  }
 
   SimDuration hint_cost = 0;
   std::vector<Op>& sysops = sysops_scratch_;
@@ -231,43 +187,79 @@ void Interpreter::RunIterations() {
     pending_.push_back(text_touch);
   }
 
-  // Touches: one per reference whose page changed.
-  for (size_t r = 0; r < nest.refs.size(); ++r) {
-    const ArrayRef& ref = nest.refs[r];
-    const int64_t page = PageOfRef(ref, 0);
-    if (page != last_page_[r]) {
-      last_page_[r] = page;
-      Op touch = Op::Touch(page, ref.is_write, 0);
-      touch.as = as_;
-      pending_.push_back(touch);
-      ++stats_.page_touches;
-      if (runtime_ != nullptr) {
-        FireDirectivesForCrossing(r, page, sysops, &hint_cost);
+  // Touches: one per reference whose page changed, each followed by that
+  // reference's crossing hints.
+  for (LoweredRef& ref : refs_) {
+    if (ref.page == ref.touched_page) {
+      continue;
+    }
+    ref.touched_page = ref.page;
+    Op touch = Op::Touch(ref.page, ref.is_write, 0);
+    touch.as = as_;
+    pending_.push_back(touch);
+    ++stats_.page_touches;
+    if (runtime_ == nullptr) {
+      continue;
+    }
+    for (uint32_t i = ref.crossing_begin; i < ref.crossing_end; ++i) {
+      const HintDirective& d = *crossing_[i];
+      if (d.kind == HintDirective::Kind::kPrefetch) {
+        hint_cost += runtime_->OnPrefetchHint(
+            std::clamp(ref.page + d.distance * d.direction, ref.first_page, ref.last_page));
+      } else {
+        hint_cost += runtime_->OnReleaseHint(ref.page, d.priority, d.tag, sysops);
       }
     }
   }
   if (runtime_ != nullptr) {
-    FireEveryIterationDirectives(run, sysops, &hint_cost);
+    for (const HintDirective* d : every_iteration_) {
+      const LoweredRef& ref = refs_[static_cast<size_t>(d->ref)];
+      if (d->kind == HintDirective::Kind::kPrefetch) {
+        // The generated code computes the real future address each iteration;
+        // within a one-page run the target is the same, so batch the filtering.
+        const int64_t target =
+            ref.index != nullptr
+                ? PageAt(ref, ref.value + d->distance * ref.inner_delta)
+                : std::clamp(ref.page + d->distance * d->direction, ref.first_page, ref.last_page);
+        hint_cost += runtime_->OnPrefetchHintBatch(target, run);
+      } else {
+        hint_cost += runtime_->OnReleaseHintBatch(ref.page, d->priority, d->tag, run, sysops);
+      }
+    }
   }
 
-  pending_.push_back(Op::Compute(run * nest.compute_per_iteration + hint_cost));
+  pending_.push_back(Op::Compute(run * active_nest_->nest.compute_per_iteration + hint_cost));
   for (Op& op : sysops) {
     pending_.push_back(op);
   }
   stats_.iterations += run;
+  Advance(run);
+}
 
-  // Advance the odometer by `run` innermost iterations.
-  ivs_.back() += run * nest.loops.back().step;
-  for (size_t d = nest.loops.size(); d-- > 1;) {
-    if (ivs_[d] < nest.loops[d].upper) {
-      break;
+// Moves the odometer `run` innermost iterations on. Within a pass every ref
+// advances by its innermost delta; a carry steps the outer loops (the
+// innermost iv in `ivs_` stays at its lower bound) and re-evaluates each ref.
+void Interpreter::Advance(int64_t run) {
+  inner_left_ -= run;
+  if (inner_left_ > 0) {
+    for (LoweredRef& ref : refs_) {
+      ref.value += ref.inner_delta * run;
     }
-    ivs_[d] = nest.loops[d].lower;
-    ivs_[d - 1] += nest.loops[d - 1].step;
+    return;
   }
-  if (ivs_[0] >= nest.loops[0].upper) {
-    ExitNest();
+  const std::vector<Loop>& loops = active_nest_->nest.loops;
+  for (size_t d = loops.size() - 1; d-- > 0;) {
+    ivs_[d] += loops[d].step;
+    if (ivs_[d] < loops[d].upper) {
+      for (LoweredRef& ref : refs_) {
+        ref.value = ref.expr->Eval(ivs_);
+      }
+      inner_left_ = inner_trips_;
+      return;
+    }
+    ivs_[d] = loops[d].lower;
   }
+  ExitNest();
 }
 
 void Interpreter::ExitNest() {

@@ -68,6 +68,29 @@ TEST(ArrayLayoutTest, PageOfMapsElementsToPages) {
   EXPECT_EQ(layout.ElementsPerPage(0), 2048);
 }
 
+TEST(ArrayLayoutTest, PageOfHoldsForEveryPageSizeInUse) {
+  SourceProgram p;
+  p.arrays = {{"a", 24, 10000, false, nullptr}};  // 24-byte elements straddle pages
+  for (const int64_t page_size : {4 * 1024, 8 * 1024, 16 * 1024, 32 * 1024, 64 * 1024}) {
+    ArrayLayout layout(p, page_size);
+    EXPECT_EQ(int64_t{1} << layout.page_shift(), page_size);
+    for (const int64_t element : {0, 1, 170, 171, 682, 683, 9999}) {
+      EXPECT_EQ(layout.PageOf(0, element), element * 24 / page_size) << page_size;
+    }
+  }
+}
+
+// The layout maps elements to pages with a shift, so a page size that is not
+// a power of two would silently misplace them; it must stop the run in every
+// build, assertions compiled out or not.
+TEST(ArrayLayoutDeathTest, RejectsPageSizeThatIsNotAPowerOfTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SourceProgram p;
+  p.arrays = {{"a", 8, 10000, false, nullptr}};
+  EXPECT_DEATH(ArrayLayout(p, 12 * 1024), "page size 12288 bytes is not a power of two");
+  EXPECT_DEATH(ArrayLayout(p, 0), "page size 0 bytes is not a power of two");
+}
+
 TEST(AffineExprTest, EvaluatesConstantPlusCoeffs) {
   AffineExpr e;
   e.constant = 5;

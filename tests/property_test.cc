@@ -7,6 +7,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -79,8 +80,109 @@ SourceProgram RandomProgram(uint64_t seed) {
   return p;
 }
 
+// Seeds above kWideSeedBase draw WideRandomCase; lower seeds keep
+// RandomProgram's programs.
+constexpr uint64_t kWideSeedBase = 1000;
+
+// A random program plus the page size it is compiled for.
+struct EquivalenceCase {
+  SourceProgram program;
+  int64_t page_size = CompilerTarget{}.page_size;
+};
+
+// Draws what RandomProgram leaves out: indirect refs through random index
+// arrays (whose values may fall outside the data array), refs whose reach runs
+// past either end of their array so they clamp, compiler-invisible runtime
+// expressions, loop steps of 2-3 over bounds that are not a multiple of the
+// step, element sizes that do not divide the page, and 4-64 KB pages.
+EquivalenceCase WideRandomCase(uint64_t seed) {
+  Rng rng(seed);
+  EquivalenceCase c;
+  constexpr int64_t kPageSizes[] = {4 * 1024, 8 * 1024, 16 * 1024, 64 * 1024};
+  c.page_size = kPageSizes[rng.NextBelow(4)];
+  SourceProgram& p = c.program;
+  p.name = "wide";
+  p.text_pages = 0;
+  constexpr int64_t kElementSizes[] = {4, 8, 16, 24};
+  const int num_data = static_cast<int>(rng.NextBelow(3)) + 1;
+  for (int a = 0; a < num_data; ++a) {
+    const int64_t element_size = kElementSizes[rng.NextBelow(4)];
+    // Half the arrays are small, so walks often run off their end; a third
+    // end exactly on a page boundary, where an off-by-one clamp shows.
+    int64_t elements =
+        rng.NextBelow(2) == 0 ? rng.NextInRange(1, 3000) : rng.NextInRange(2048, 16384);
+    if (rng.NextBelow(3) == 0) {
+      elements = rng.NextInRange(1, 4) * c.page_size / std::gcd(c.page_size, element_size);
+    }
+    p.arrays.push_back({"a" + std::to_string(a), element_size, elements, true, nullptr});
+  }
+  const int num_index = static_cast<int>(rng.NextBelow(3));
+  for (int a = 0; a < num_index; ++a) {
+    const int64_t n = rng.NextInRange(1, 4096);
+    auto values = std::make_shared<std::vector<int64_t>>();
+    for (int64_t i = 0; i < n; ++i) {
+      values->push_back(rng.NextInRange(-64, 20000));
+    }
+    p.arrays.push_back({"idx" + std::to_string(a), 8, n, true, values});
+  }
+  const int num_nests = static_cast<int>(rng.NextBelow(2)) + 1;
+  for (int n = 0; n < num_nests; ++n) {
+    LoopNest nest;
+    const int depth = static_cast<int>(rng.NextBelow(3)) + 1;
+    for (int d = 0; d < depth; ++d) {
+      const int64_t lower = rng.NextInRange(0, 5);
+      const int64_t step = rng.NextInRange(1, 3);
+      const int64_t trips = rng.NextInRange(2, d + 1 == depth ? 3000 : 7);
+      const int64_t upper = lower + trips * step - rng.NextInRange(0, step - 1);
+      const bool known = rng.NextBelow(2) == 0;
+      nest.loops.push_back(Loop{"v" + std::to_string(d), lower, upper, step, known});
+    }
+    const int num_refs = static_cast<int>(rng.NextBelow(4)) + 1;
+    for (int r = 0; r < num_refs; ++r) {
+      ArrayRef ref;
+      const auto random_expr = [&](int64_t extent) {
+        AffineExpr expr;
+        for (int d = 0; d < depth; ++d) {
+          expr.coeffs.push_back(d + 1 == depth ? rng.NextInRange(-3, 3)
+                                               : rng.NextInRange(-2, 4) * rng.NextInRange(1, 300));
+        }
+        expr.constant = rng.NextInRange(-100, extent + 100);
+        return expr;
+      };
+      if (num_index > 0 && rng.NextBelow(3) == 0) {
+        ref.array = static_cast<int32_t>(rng.NextBelow(static_cast<uint64_t>(num_data)));
+        ref.index_array = static_cast<int32_t>(
+            num_data + static_cast<int>(rng.NextBelow(static_cast<uint64_t>(num_index))));
+      } else {
+        ref.array = static_cast<int32_t>(rng.NextBelow(p.arrays.size()));
+      }
+      const int32_t subscripted = ref.IsIndirect() ? ref.index_array : ref.array;
+      const int64_t extent = p.arrays[static_cast<size_t>(subscripted)].num_elements;
+      ref.affine = random_expr(extent);
+      if (rng.NextBelow(4) == 0) {
+        ref.runtime_affine = std::make_shared<AffineExpr>(random_expr(extent));
+      }
+      ref.is_write = rng.NextBelow(2) == 0;
+      nest.refs.push_back(std::move(ref));
+    }
+    nest.compute_per_iteration = static_cast<SimDuration>(rng.NextBelow(50) + 1);
+    p.nests.push_back(std::move(nest));
+  }
+  p.repeat = static_cast<int64_t>(rng.NextBelow(2)) + 1;
+  return c;
+}
+
+EquivalenceCase EquivalenceCaseFor(uint64_t seed) {
+  if (seed > kWideSeedBase) {
+    return WideRandomCase(seed);
+  }
+  return EquivalenceCase{RandomProgram(seed)};
+}
+
 // Reference: per-iteration walk recording first-touch-per-page transitions,
-// each with its ref's load/store kind.
+// each with its ref's load/store kind. Evaluates the runtime expression, reads
+// indirect subscripts through their index array, and clamps like the
+// interpreter does.
 std::vector<std::pair<VPage, bool>> NaiveTouches(const SourceProgram& program,
                                                  const ArrayLayout& layout) {
   std::vector<std::pair<VPage, bool>> touches;
@@ -101,7 +203,15 @@ std::vector<std::pair<VPage, bool>> NaiveTouches(const SourceProgram& program,
         for (size_t r = 0; r < nest.refs.size(); ++r) {
           const ArrayRef& ref = nest.refs[r];
           const ArrayDecl& array = program.arrays[static_cast<size_t>(ref.array)];
-          int64_t element = ref.affine.Eval(ivs);
+          const AffineExpr& expr =
+              ref.runtime_affine != nullptr ? *ref.runtime_affine : ref.affine;
+          int64_t element = expr.Eval(ivs);
+          if (ref.IsIndirect()) {
+            const auto& values =
+                *program.arrays[static_cast<size_t>(ref.index_array)].index_values;
+            element = values[static_cast<size_t>(
+                std::clamp<int64_t>(element, 0, static_cast<int64_t>(values.size()) - 1))];
+          }
           element = std::clamp<int64_t>(element, 0, array.num_elements - 1);
           const int64_t page = layout.PageOf(ref.array, element);
           if (page != last_page[r]) {
@@ -134,8 +244,10 @@ std::vector<std::pair<VPage, bool>> NaiveTouches(const SourceProgram& program,
 class InterpreterEquivalenceTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(InterpreterEquivalenceTest, BatchedTouchSequenceMatchesNaiveWalk) {
-  const SourceProgram source = RandomProgram(GetParam());
+  const EquivalenceCase equivalence = EquivalenceCaseFor(GetParam());
+  const SourceProgram& source = equivalence.program;
   CompilerTarget target;
+  target.page_size = equivalence.page_size;
   const CompiledProgram program = Compile(source, target, CompileOptions{false, false});
   Kernel kernel(TestMachine());
   AddressSpace* as = MakeSwapAs(kernel, "as", program.layout.total_pages());
@@ -157,20 +269,23 @@ TEST_P(InterpreterEquivalenceTest, BatchedTouchSequenceMatchesNaiveWalk) {
     }
   }
   EXPECT_EQ(touches, NaiveTouches(source, program.layout));
-  // Total compute equals iterations * per-iteration cost.
-  int64_t expected_iterations = 0;
+  // Total compute equals iterations * per-iteration cost; a loop makes
+  // ceil((upper - lower) / step) trips.
+  int64_t expected_compute = 0;
   for (const LoopNest& nest : source.nests) {
     int64_t iterations = 1;
     for (const Loop& loop : nest.loops) {
-      iterations *= std::max<int64_t>(0, loop.upper - loop.lower);
+      iterations *= std::max<int64_t>(0, (loop.upper - loop.lower + loop.step - 1) / loop.step);
     }
-    expected_iterations += iterations * source.repeat * nest.compute_per_iteration;
+    expected_compute += iterations * source.repeat * nest.compute_per_iteration;
   }
-  EXPECT_EQ(compute, expected_iterations);
+  EXPECT_EQ(compute, expected_compute);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomNests, InterpreterEquivalenceTest,
                          ::testing::Range<uint64_t>(1, 33));
+INSTANTIATE_TEST_SUITE_P(WideNests, InterpreterEquivalenceTest,
+                         ::testing::Range<uint64_t>(kWideSeedBase + 1, kWideSeedBase + 33));
 
 // --- Frame conservation under random multiprogramming ----------------------------
 
