@@ -154,11 +154,61 @@ inline ExperimentResult RunBench(const WorkloadInfo& info, double scale, AppVers
   return result;
 }
 
+inline std::string HeaderText(const char* what, double scale) {
+  char machine[128];
+  std::snprintf(machine, sizeof(machine),
+                "(simulated SGI Origin 200, %.1f MB user memory, 10-disk striped swap; "
+                "workload scale %.2f)\n\n",
+                75.0 * scale, scale);
+  return std::string("=== ") + what + " ===\n" + machine;
+}
+
 inline void PrintHeader(const char* what, double scale) {
-  std::printf("=== %s ===\n", what);
-  std::printf("(simulated SGI Origin 200, %.1f MB user memory, 10-disk striped swap; "
-              "workload scale %.2f)\n\n",
-              75.0 * scale, scale);
+  std::fputs(HeaderText(what, scale).c_str(), stdout);
+}
+
+// Figure 7's grid: every workload at every version, in the order Fig07Text
+// reads the results back. `labels` gets one "WORKLOAD/V" per spec.
+inline std::vector<ExperimentSpec> Fig07Specs(double scale, int tiers,
+                                              std::vector<std::string>* labels) {
+  std::vector<ExperimentSpec> specs;
+  for (const WorkloadInfo& info : AllWorkloads()) {
+    for (const AppVersion version : AllVersions()) {
+      specs.push_back(BenchSpec(info, scale, version, /*with_interactive=*/false));
+      ApplyTierGeometry(specs.back().machine, tiers);
+      labels->push_back(info.name + "/" + VersionLabel(version));
+    }
+  }
+  return specs;
+}
+
+// fig07_breakdown's whole output, rendered from the results of Fig07Specs.
+inline std::string Fig07Text(double scale, const std::vector<ExperimentResult>& results) {
+  ReportTable table({"benchmark", "ver", "exec(s)", "norm", "user", "system", "res-stall",
+                     "io-stall", "hard-faults"});
+  size_t idx = 0;
+  for (const WorkloadInfo& info : AllWorkloads()) {
+    double base = 0;
+    for (const AppVersion version : AllVersions()) {
+      const ExperimentResult& result = results[idx++];
+      const TimeBreakdown& t = result.app.times;
+      const double exec = ToSeconds(t.Execution());
+      if (version == AppVersion::kOriginal) {
+        base = exec;
+      }
+      auto frac = [&](SimDuration d) { return FormatDouble(ToSeconds(d) / base, 3); };
+      table.AddRow({info.name, VersionLabel(version), FormatDouble(exec, 1),
+                    FormatDouble(exec / base, 3), frac(t.user), frac(t.system),
+                    frac(t.resource_stall), frac(t.io_stall),
+                    FormatCount(result.app.faults.hard_faults)});
+    }
+  }
+  return HeaderText("Figure 7: normalized execution time breakdown", scale) +
+         table.ToString() +
+         "\nColumns user..io-stall are fractions of the ORIGINAL version's execution time\n"
+         "(they sum to the 'norm' column). Expected shape: P eliminates most of O's I/O\n"
+         "stall; R/B additionally remove the daemon-interference stall and soft-fault\n"
+         "system time; MATVEC: aggressive releasing (R) hurts, buffering (B) shines.\n";
 }
 
 }  // namespace tmh

@@ -258,6 +258,16 @@ std::string Digest(const MultiExperimentResult& result) {
   return os.str();
 }
 
+void ForceTiers(Scenario& scenario) {
+  if (scenario.num_slow_tiers != 0) {
+    return;
+  }
+  scenario.num_slow_tiers = 2;
+  scenario.tier_frames = 128;
+  scenario.tier_promote_cost = 20 * kUsec;
+  scenario.tier_demote_cost = 20 * kUsec;
+}
+
 ScenarioOutcome RunScenario(const Scenario& scenario,
                             const CheckOptions& check_options) {
   MultiExperimentSpec spec = ToSpec(scenario);

@@ -82,6 +82,12 @@ struct Scenario {
 // Derives the scenario for `seed` (pure function of seed and options).
 Scenario MakeScenario(uint64_t seed, const ScenarioOptions& options = {});
 
+// The forced-tier geometry of `tmh_fuzz --force-tiers`: a scenario that drew
+// no slow tiers gets two of 128 frames each at 20 us per migration; one that
+// drew tiers keeps its own. Small on purpose: capacity-eviction cascades and
+// disk fallout are the paths a tier-thrash sweep exists to exercise.
+void ForceTiers(Scenario& scenario);
+
 // Expands a scenario into a runnable spec (checks not yet enabled; the runner
 // sets spec.checks / spec.check_options).
 MultiExperimentSpec ToSpec(const Scenario& scenario);

@@ -6,7 +6,9 @@
 // the oracle replays and immediately flags semantic divergence (wrong
 // allocation order, double free, writeback of a clean frame, a mispublished
 // Eq. 1 header); at quiescent points the checker runs a full structural pass
-// over the kernel's live state.
+// over the kernel's live state. The pass reads the kernel's own structures in
+// place (free-list links, frame bit planes, page tables, bitmap words) in
+// three passes and allocates nothing when the state is clean (INTERNALS §10).
 //
 // The invariants, and what each catches:
 //   I-FL    free-list structure: the intrusive links walk exactly size()
@@ -48,6 +50,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/check/oracle.h"
@@ -62,9 +65,12 @@ struct CheckOptions {
   size_t tail = 32;
   // Replay the hook stream through the VmOracle and compare against it.
   bool with_oracle = true;
-  // Run the full structural pass every N mutated quiescent points (per-hook
-  // oracle checks still run on every event). 1 = every event; larger values
-  // trade detection latency for speed on long soaks.
+  // Run the full structural pass at the first quiescent point after at least
+  // N VM transitions (IsVmTransition) since the last pass; the oracle replays
+  // every transition regardless. 1 checks after every event that changed VM
+  // state. Larger values trade detection latency for speed: a pass costs
+  // O(frames / 64 + free frames + page-table entries), which on long soaks
+  // over big page tables outweighs the run itself.
   uint64_t full_check_period = 1;
   // Self-test: flip one residency-bitmap bit after this many full checks
   // (0 = off). The checker must then report an I-BM violation — used by the
@@ -98,6 +104,7 @@ class InvariantChecker : public VmChecker {
  private:
   void Fail(SimTime now, const std::string& invariant, const std::string& detail);
   void Validate(Kernel& kernel);
+  void BuildReleaseQueue(Kernel& kernel);
   void MaybeInject(Kernel& kernel);
   [[nodiscard]] std::string TailDump() const;
 
@@ -114,6 +121,12 @@ class InvariantChecker : public VmChecker {
   uint64_t mutations_since_check_ = 0;
   bool injected_ = false;
   std::string failure_;
+
+  // Sweep scratch, reused so a clean sweep allocates nothing: one bit per
+  // frame reached by the free-list walk, and the (as, vpage) pairs of every
+  // queued or batched release, sorted, built at most once per sweep.
+  std::vector<uint64_t> on_free_;
+  std::vector<std::pair<AsId, VPage>> release_queue_;
 };
 
 }  // namespace tmh

@@ -76,6 +76,12 @@ FrameId VmOracle::FrameOf(AsId as, VPage vpage) const {
   return page == it->second.end() ? kNoFrame : page->second;
 }
 
+const std::map<VPage, FrameId>& VmOracle::ResidentPages(AsId as) const {
+  static const std::map<VPage, FrameId> kNone;
+  const auto it = resident_.find(as);
+  return it == resident_.end() ? kNone : it->second;
+}
+
 int64_t VmOracle::ResidentCount(AsId as) const {
   const auto it = resident_.find(as);
   return it == resident_.end() ? 0 : static_cast<int64_t>(it->second.size());

@@ -73,6 +73,8 @@ class VmOracle {
   // Frame the model believes backs (as, vpage), or kNoFrame.
   [[nodiscard]] FrameId FrameOf(AsId as, VPage vpage) const;
   [[nodiscard]] int64_t ResidentCount(AsId as) const;
+  // The model's resident pages of `as` (vpage -> frame), in vpage order.
+  [[nodiscard]] const std::map<VPage, FrameId>& ResidentPages(AsId as) const;
   [[nodiscard]] const std::set<FrameId>& dirty() const { return dirty_; }
 
   // Per-slow-tier reference model (memory-tiering extension): which (as,

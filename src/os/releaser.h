@@ -13,6 +13,7 @@
 #define TMH_SRC_OS_RELEASER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/os/thread.h"
@@ -31,18 +32,18 @@ class Releaser : public Program {
 
   [[nodiscard]] WaitQueue& wait_queue() { return wq_; }
 
-  // Checker introspection: pages gathered off the kernel's release queue but
-  // not yet resolved by ProcessBatch (the lock wait can be long). Empty once
-  // the batch has been processed.
-  [[nodiscard]] std::vector<VPage> UnresolvedBatch() const {
-    std::vector<VPage> pages;
-    if (!batch_resolved_) {
-      pages.reserve(batch_.size());
-      for (const BatchEntry& entry : batch_) {
-        pages.push_back(entry.vpage);
-      }
-    }
-    return pages;
+  // One gathered release request. `depth` > 0 demotes the page into that slow
+  // tier (memory-tiering machines) instead of freeing its frame.
+  struct BatchEntry {
+    VPage vpage;
+    int32_t depth;
+  };
+
+  // Checker introspection: requests gathered off the kernel's release queue
+  // for batch_as() but not yet resolved by ProcessBatch (the lock wait can be
+  // long). Empty once the batch has been processed.
+  [[nodiscard]] std::span<const BatchEntry> UnresolvedBatch() const {
+    return batch_resolved_ ? std::span<const BatchEntry>() : std::span(batch_);
   }
   [[nodiscard]] const AddressSpace* batch_as() const {
     return batch_resolved_ ? nullptr : batch_as_;
@@ -50,13 +51,6 @@ class Releaser : public Program {
 
  private:
   enum class Phase : uint8_t { kIdle, kLocked, kUnlock };
-
-  // One gathered release request. `depth` > 0 demotes the page into that slow
-  // tier (memory-tiering machines) instead of freeing its frame.
-  struct BatchEntry {
-    VPage vpage;
-    int32_t depth;
-  };
 
   // Pops up to releaser_batch same-address-space items off the kernel's
   // release work queue into batch_. Returns the target AS or nullptr if the

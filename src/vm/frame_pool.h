@@ -130,6 +130,11 @@ class FramePool {
     return node_size_[static_cast<size_t>(node)];
   }
 
+  // Link views for checkers that walk a list in place: the head of `node`'s
+  // list and the frame after `id` (kNoFrame at the tail). `id` must be linked.
+  [[nodiscard]] FrameId head(int node) const { return head_[static_cast<size_t>(node)]; }
+  [[nodiscard]] FrameId next(FrameId id) const { return next_[static_cast<size_t>(id)]; }
+
   // Snapshot of one node's list head-to-tail, for checkers and tests. Walks
   // the intrusive links, so it also validates their consistency.
   [[nodiscard]] std::vector<FrameId> NodeToVector(int node) const {

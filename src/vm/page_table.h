@@ -60,6 +60,9 @@ class PageTable {
     return ptes_[static_cast<size_t>(vpage)];
   }
 
+  // All size() entries, contiguous, for whole-table scans.
+  [[nodiscard]] const Pte* data() const { return ptes_.data(); }
+
   // Number of resident pages (the process's RSS in pages). Maintained by the
   // kernel on map/unmap, kept here for cheap Eq. 1 evaluation.
   [[nodiscard]] int64_t resident_count() const { return resident_count_; }

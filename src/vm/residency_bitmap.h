@@ -105,6 +105,11 @@ class ResidencyBitmap {
     return n;
   }
 
+  // Word view (64 pages per word) for word-parallel scans. Bits at positions
+  // >= size() in the last word are zero while range ops stay inside the
+  // bitmap, as they assert.
+  [[nodiscard]] const uint64_t* words() const { return bits_.data(); }
+
   // Header words of the shared page (Section 3.1.1). The OS writes them; the
   // run-time layer reads them. Values may be stale between memory activity.
   [[nodiscard]] int64_t current_usage() const { return current_usage_; }

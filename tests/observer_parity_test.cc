@@ -1,9 +1,10 @@
 // Observer parity: no sink of the kernel's observer stream may change the
-// run. Each seed runs three ways — unchecked, with the InvariantChecker
-// attached at tmh_fuzz's structural-pass cadence, and with the recorder
-// installed (observe) — and all three must hash to one Digest, sim_events
-// included. A checker that moved the kernel onto a different dispatch path
-// would check a run that never ships; this is the test that says it does not.
+// run. Each pinned fuzz seed runs three ways — unchecked, with the
+// InvariantChecker attached at tmh_fuzz's structural-pass cadence, and with
+// the recorder installed (observe) — and all three must hash to one Digest,
+// sim_events included. A checker that moved the kernel onto a different
+// dispatch path would check a run that never ships; this is the test that
+// says it does not.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +14,9 @@
 namespace tmh {
 namespace {
 
-class ObserverParityTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ObserverParityTest, CheckedAndObservedRunsMatchTheUncheckedRun) {
-  const uint64_t seed = GetParam();
-  const Scenario scenario = MakeScenario(seed);
+// Runs `scenario` unchecked, checked at tmh_fuzz's structural-pass cadence,
+// and observed, and requires one Digest across all three.
+void ExpectObserverParity(const Scenario& scenario) {
   const MultiExperimentSpec spec = ToSpec(scenario);
 
   const MultiExperimentResult unchecked = RunMultiExperiment(spec);
@@ -31,7 +30,7 @@ TEST_P(ObserverParityTest, CheckedAndObservedRunsMatchTheUncheckedRun) {
 
   ASSERT_TRUE(unchecked.completed) << Describe(scenario);
   ASSERT_TRUE(checked.check_failure.empty())
-      << checked.check_failure << "\nreplay: tmh_fuzz --seed " << seed;
+      << checked.check_failure << "\nreplay: tmh_fuzz --seed " << scenario.seed;
   EXPECT_GT(checked.checks_run, 0u);
   EXPECT_FALSE(observed.event_log.events().empty());
 
@@ -41,9 +40,32 @@ TEST_P(ObserverParityTest, CheckedAndObservedRunsMatchTheUncheckedRun) {
   EXPECT_EQ(Digest(observed), Digest(unchecked)) << Describe(scenario);
 }
 
-// Pinned fuzz seeds on which a checker used to put the kernel on a per-event
-// dispatch loop without inline dispatch, and so simulated a different run.
-INSTANTIATE_TEST_SUITE_P(FuzzSeeds, ObserverParityTest, ::testing::Values<uint64_t>(1, 302, 401));
+class ObserverParityTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ObserverParityTest, CheckedAndObservedRunsMatchTheUncheckedRun) {
+  ExpectObserverParity(MakeScenario(GetParam()));
+}
+
+// Every pinned fuzz range of the ctest fuzz targets: fuzz_smoke (1-6),
+// fuzz_hotpath_fresh_seeds (201-208), fuzz_multitenant_fresh_seeds (301-308)
+// and fuzz_runpath_fresh_seeds (401-408).
+INSTANTIATE_TEST_SUITE_P(
+    FuzzSeeds, ObserverParityTest,
+    ::testing::Values<uint64_t>(1, 2, 3, 4, 5, 6, 201, 202, 203, 204, 205, 206, 207, 208, 301,
+                                302, 303, 304, 305, 306, 307, 308, 401, 402, 403, 404, 405, 406,
+                                407, 408));
+
+// fuzz_tiering_fresh_seeds (501-508), on the forced-tier geometry.
+class ForcedTierObserverParityTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ForcedTierObserverParityTest, CheckedAndObservedRunsMatchTheUncheckedRun) {
+  Scenario scenario = MakeScenario(GetParam());
+  ForceTiers(scenario);
+  ExpectObserverParity(scenario);
+}
+
+INSTANTIATE_TEST_SUITE_P(FuzzSeeds, ForcedTierObserverParityTest,
+                         ::testing::Range<uint64_t>(501, 509));
 
 }  // namespace
 }  // namespace tmh

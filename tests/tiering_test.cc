@@ -228,13 +228,7 @@ class TieringFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(TieringFuzzTest, ForcedTierScenarioIsCleanAndDeterministic) {
   const uint64_t seed = GetParam();
   Scenario scenario = MakeScenario(seed);
-  if (scenario.num_slow_tiers == 0) {
-    // Same forced geometry as `tmh_fuzz --force-tiers`.
-    scenario.num_slow_tiers = 2;
-    scenario.tier_frames = 128;
-    scenario.tier_promote_cost = 20 * kUsec;
-    scenario.tier_demote_cost = 20 * kUsec;
-  }
+  ForceTiers(scenario);
 
   const ScenarioOutcome first = RunScenario(scenario);
   ASSERT_TRUE(first.completed) << Describe(scenario);

@@ -208,13 +208,8 @@ void ReportFailure(const tmh::Scenario& scenario,
 // (clean normally, or detected-and-deterministic under --expect-fail).
 bool RunSeed(uint64_t seed, const Flags& flags) {
   tmh::Scenario scenario = MakeScenario(seed, ScenarioOptionsFor(flags));
-  if (flags.force_tiers && scenario.num_slow_tiers == 0) {
-    // Small tiers on purpose: capacity-eviction cascades and disk fallout are
-    // the paths a tier-thrash sweep exists to exercise.
-    scenario.num_slow_tiers = 2;
-    scenario.tier_frames = 128;
-    scenario.tier_promote_cost = 20 * tmh::kUsec;
-    scenario.tier_demote_cost = 20 * tmh::kUsec;
+  if (flags.force_tiers) {
+    tmh::ForceTiers(scenario);
   }
   const tmh::ScenarioOutcome outcome =
       tmh::RunScenario(scenario, CheckOptionsFor(flags));
