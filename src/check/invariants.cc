@@ -123,7 +123,7 @@ std::string InvariantChecker::TailDump() const {
 void InvariantChecker::BuildReleaseQueue(Kernel& kernel) {
   release_queue_.clear();
   for (const Kernel::ReleaseWorkItem& item : kernel.release_work()) {
-    release_queue_.emplace_back(item.as->id(), item.vpage);
+    release_queue_.emplace_back(item.as, item.vpage);
   }
   if (kernel.has_daemons()) {
     const Releaser& releaser = kernel.releaser();

@@ -22,14 +22,11 @@ constexpr int kMaxOpsPerSlice = 1 << 20;
 Kernel::Kernel(const MachineConfig& config)
     : config_(config),
       frames_(config.num_frames()),
-      free_list_(config.num_frames(), config.num_nodes) {
+      // Freshly booted machine: every frame free, each node's list its own
+      // frame range in ascending order (the 1-node list is exactly the
+      // historical 0..n-1 sequence).
+      free_list_(config.num_frames(), config.num_nodes, FramePool::AllFree{}) {
   swap_ = std::make_unique<SwapSpace>(&queue_, config.swap, config.page_size_bytes);
-  // All frames start free; freshly booted machine. Tail pushes in ascending
-  // frame order so each node's list starts as its own frame range in order
-  // (and the 1-node list is exactly the historical 0..n-1 sequence).
-  for (FrameId f = 0; f < config.num_frames(); ++f) {
-    free_list_.PushTail(f);
-  }
   node_allocations_.assign(static_cast<size_t>(free_list_.num_nodes()), 0);
   // Slow-tier planes (memory-tiering extension). tiers[0] is DRAM (capacity
   // comes from user_memory_bytes, handled above); each further entry gets its
@@ -41,10 +38,8 @@ Kernel::Kernel(const MachineConfig& config)
       const TierSpec& spec = config.tiers[t];
       TierPlane plane;
       plane.frames = spec.frames > 0 ? spec.frames : 1;
-      plane.pool = std::make_unique<FramePool>(plane.frames, /*num_nodes=*/1);
-      for (FrameId tf = 0; tf < plane.frames; ++tf) {
-        plane.pool->PushTail(tf);
-      }
+      plane.pool =
+          std::make_unique<FramePool>(plane.frames, /*num_nodes=*/1, FramePool::AllFree{});
       plane.owner.assign(static_cast<size_t>(plane.frames), kNoAs);
       plane.vpage.assign(static_cast<size_t>(plane.frames), kNoVPage);
       plane.dirty.assign(static_cast<size_t>(plane.frames), 0);
@@ -1230,7 +1225,7 @@ bool Kernel::EnqueueRelease(int32_t tid, AddressSpace* as, VPage vpage, int32_t 
   }
   pte.valid = false;
   pte.invalid_reason = InvalidReason::kReleasePending;
-  release_work_.push_back(ReleaseWorkItem{as, vpage, depth});
+  release_work_.push_back(ReleaseWorkItem{vpage, as->id(), depth});
   ++stats_.release_pages_enqueued;
   ++as->stats().release_pages_requested;
   Emit(VmHookOp::kReleaseEnqueue, tid, as->id(), vpage, pte.frame);

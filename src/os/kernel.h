@@ -221,12 +221,14 @@ class Kernel {
   // invariant "every release-pending PTE is queued here or gathered into the
   // releaser's unresolved batch" is cross-validated against this. `depth` is
   // the slow tier the page demotes into (memory-tiering machines; 0 = free to
-  // the DRAM free list, the paper's behavior).
+  // the DRAM free list, the paper's behavior). 16 bytes: a release storm can
+  // queue a million pages.
   struct ReleaseWorkItem {
-    AddressSpace* as;
     VPage vpage;
+    AsId as;
     int32_t depth;
   };
+  static_assert(sizeof(ReleaseWorkItem) == 16);
   [[nodiscard]] const RingBuffer<ReleaseWorkItem>& release_work() const {
     return release_work_;
   }

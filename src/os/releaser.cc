@@ -36,7 +36,7 @@ AddressSpace* Releaser::GatherBatch() {
   if (k.release_work_.empty()) {
     return nullptr;
   }
-  AddressSpace* as = k.release_work_.front().as;
+  const AsId as = k.release_work_.front().as;
   const int batch_limit = k.config_.tunables.releaser_batch;
   while (!k.release_work_.empty() && static_cast<int>(batch_.size()) < batch_limit &&
          k.release_work_.front().as == as) {
@@ -45,7 +45,7 @@ AddressSpace* Releaser::GatherBatch() {
     k.release_work_.pop_front();
   }
   batch_resolved_ = false;
-  return as;
+  return k.address_spaces_[static_cast<size_t>(as)].get();
 }
 
 SimDuration Releaser::ProcessBatch() {

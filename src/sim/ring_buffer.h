@@ -9,15 +9,17 @@
 // pending window in FIFO order without draining it).
 //
 // T must be trivially copyable: growth relocates the live window with plain
-// copies, and no destructors run on pop.
+// copies, and no destructors run on pop. The arena is left uninitialized, so
+// a doubling writes only the slots it copies into and the host commits the
+// rest only as pushes reach them (a release storm queues a million items).
 
 #ifndef TMH_SRC_SIM_RING_BUFFER_H_
 #define TMH_SRC_SIM_RING_BUFFER_H_
 
 #include <cassert>
 #include <cstddef>
+#include <memory>
 #include <type_traits>
-#include <vector>
 
 namespace tmh {
 
@@ -26,7 +28,7 @@ class RingBuffer {
   static_assert(std::is_trivially_copyable_v<T>);
 
  public:
-  RingBuffer() : slots_(kInitialCapacity) {}
+  RingBuffer() : slots_(std::make_unique_for_overwrite<T[]>(kInitialCapacity)) {}
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
   [[nodiscard]] size_t size() const { return size_; }
@@ -36,10 +38,10 @@ class RingBuffer {
   // a reference parameter would dangle across Grow(). T is trivially copyable,
   // so the copy is the same load the store needs anyway.
   void push_back(T value) {
-    if (size_ == slots_.size()) {
+    if (size_ == capacity_) {
       Grow();
     }
-    slots_[(head_ + size_) & (slots_.size() - 1)] = value;
+    slots_[(head_ + size_) & (capacity_ - 1)] = value;
     ++size_;
   }
 
@@ -50,14 +52,14 @@ class RingBuffer {
 
   void pop_front() {
     assert(size_ > 0);
-    head_ = (head_ + 1) & (slots_.size() - 1);
+    head_ = (head_ + 1) & (capacity_ - 1);
     --size_;
   }
 
   // FIFO-order access into the live window: at(0) == front().
   [[nodiscard]] const T& at(size_t i) const {
     assert(i < size_);
-    return slots_[(head_ + i) & (slots_.size() - 1)];
+    return slots_[(head_ + i) & (capacity_ - 1)];
   }
 
   // Input iterator over the live window in FIFO order (checker introspection).
@@ -88,15 +90,17 @@ class RingBuffer {
   // even when the window wraps (head_ + size_ past the arena end) at the
   // moment of growth.
   void Grow() {
-    std::vector<T> bigger(slots_.size() * 2);
+    auto bigger = std::make_unique_for_overwrite<T[]>(capacity_ * 2);
     for (size_t i = 0; i < size_; ++i) {
       bigger[i] = at(i);
     }
-    slots_.swap(bigger);
+    slots_ = std::move(bigger);
+    capacity_ *= 2;
     head_ = 0;
   }
 
-  std::vector<T> slots_;
+  std::unique_ptr<T[]> slots_;
+  size_t capacity_ = kInitialCapacity;
   size_t head_ = 0;
   size_t size_ = 0;
 };

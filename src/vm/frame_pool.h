@@ -9,6 +9,16 @@
 // range — so the footprint is 2*sizeof(FrameId) bytes/frame regardless of
 // node count, and membership (Contains) stays one load against the sentinel.
 //
+// Each link is stored relative to the frame's ascending neighbour: prev_[id]
+// holds prev - (id - 1) and next_[id] holds next - (id + 1), in unsigned
+// wrap-around arithmetic. All-zero link arrays therefore chain every frame to
+// id - 1 and id + 1, which is each node's list in ascending order once the
+// two end links of each node are cut. The all-free constructor does exactly
+// that, writing O(nodes) words; the arrays are ZeroedArrays, so a 10^7-frame
+// machine commits a page of links only when a simulated frame first moves.
+// The encoding is a bijection on 32-bit values, so every operation links and
+// unlinks the same frames in the same order as plain indices would.
+//
 // Allocation prefers the caller's home node and falls back to the nearest
 // (by index, wrapping) non-empty node. The fallback is O(1): a 64-bit
 // occupancy mask rotated so the home node is bit 0, then countr_zero. This
@@ -25,9 +35,11 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "src/vm/types.h"
+#include "src/vm/zeroed_array.h"
 
 namespace tmh {
 
@@ -35,16 +47,34 @@ class FramePool {
  public:
   static constexpr int kMaxNodes = 64;
 
-  FramePool(int64_t num_frames, int num_nodes)
-      : num_frames_(num_frames),
-        num_nodes_(num_nodes < 1 ? 1 : (num_nodes > kMaxNodes ? kMaxNodes : num_nodes)),
-        frames_per_node_((num_frames + num_nodes_ - 1) / num_nodes_),
-        prev_(static_cast<size_t>(num_frames), kUnlinked),
-        next_(static_cast<size_t>(num_frames), kUnlinked),
-        head_(static_cast<size_t>(num_nodes_), kNoFrame),
-        tail_(static_cast<size_t>(num_nodes_), kNoFrame),
-        node_size_(static_cast<size_t>(num_nodes_), 0) {
-    assert(num_frames_ > 0);
+  // An empty pool: every frame unlinked.
+  FramePool(int64_t num_frames, int num_nodes) : FramePool(num_frames, num_nodes, Zeroed{}) {
+    for (FrameId id = 0; id < num_frames_; ++id) {
+      SetPrev(id, kUnlinked);
+      SetNext(id, kUnlinked);
+    }
+  }
+
+  // A freshly booted machine's pool: every frame free, each node's list its
+  // own frame range in ascending order. Equal in every observable, counters
+  // included, to an empty pool after PushTail(0), ..., PushTail(n - 1).
+  struct AllFree {};
+  FramePool(int64_t num_frames, int num_nodes, AllFree)
+      : FramePool(num_frames, num_nodes, Zeroed{}) {
+    for (int node = 0; node < num_nodes_; ++node) {
+      const FrameId begin = NodeBegin(node);
+      const FrameId end = NodeEnd(node);
+      if (begin >= end) continue;  // trailing nodes of a short machine own no frames
+      const auto n = static_cast<size_t>(node);
+      SetPrev(begin, kNoFrame);
+      SetNext(end - 1, kNoFrame);
+      head_[n] = begin;
+      tail_[n] = end - 1;
+      node_size_[n] = end - begin;
+      nonempty_mask_ |= uint64_t{1} << n;
+    }
+    size_ = num_frames_;
+    tail_pushes_ = static_cast<uint64_t>(num_frames_);
   }
 
   FramePool(const FramePool&) = delete;
@@ -120,8 +150,7 @@ class FramePool {
   // releaser/rescue fast path — the kernel probes it on every fault for a
   // page whose frame may still be on the free list (Section 3.1.2).
   [[nodiscard]] bool Contains(FrameId id) const {
-    return id >= 0 && id < num_frames_ &&
-           prev_[static_cast<size_t>(id)] != kUnlinked;
+    return id >= 0 && id < num_frames_ && Prev(id) != kUnlinked;
   }
 
   [[nodiscard]] int64_t size() const { return size_; }
@@ -133,15 +162,14 @@ class FramePool {
   // Link views for checkers that walk a list in place: the head of `node`'s
   // list and the frame after `id` (kNoFrame at the tail). `id` must be linked.
   [[nodiscard]] FrameId head(int node) const { return head_[static_cast<size_t>(node)]; }
-  [[nodiscard]] FrameId next(FrameId id) const { return next_[static_cast<size_t>(id)]; }
+  [[nodiscard]] FrameId next(FrameId id) const { return Next(id); }
 
   // Snapshot of one node's list head-to-tail, for checkers and tests. Walks
   // the intrusive links, so it also validates their consistency.
   [[nodiscard]] std::vector<FrameId> NodeToVector(int node) const {
     std::vector<FrameId> out;
     out.reserve(static_cast<size_t>(node_size_[static_cast<size_t>(node)]));
-    for (FrameId id = head_[static_cast<size_t>(node)]; id != kNoFrame;
-         id = next_[static_cast<size_t>(id)]) {
+    for (FrameId id = head_[static_cast<size_t>(node)]; id != kNoFrame; id = Next(id)) {
       out.push_back(id);
     }
     return out;
@@ -153,8 +181,7 @@ class FramePool {
     std::vector<FrameId> out;
     out.reserve(static_cast<size_t>(size_));
     for (int node = 0; node < num_nodes_; ++node) {
-      for (FrameId id = head_[static_cast<size_t>(node)]; id != kNoFrame;
-           id = next_[static_cast<size_t>(id)]) {
+      for (FrameId id = head_[static_cast<size_t>(node)]; id != kNoFrame; id = Next(id)) {
         out.push_back(id);
       }
     }
@@ -167,11 +194,11 @@ class FramePool {
   [[nodiscard]] uint64_t total_tail_pushes() const { return tail_pushes_; }
   [[nodiscard]] uint64_t total_rescues() const { return rescues_; }
 
-  // Host memory consumed by the pool's per-frame structures. The scale tests
-  // hold this to a documented bound (2*sizeof(FrameId)/frame + O(nodes)).
+  // Host memory reserved for the pool's per-frame structures; the host
+  // commits only the pages that were written. The scale tests hold this to a
+  // documented bound (2*sizeof(FrameId)/frame + O(nodes)).
   [[nodiscard]] int64_t MemoryFootprintBytes() const {
-    return static_cast<int64_t>(prev_.capacity() * sizeof(FrameId) +
-                                next_.capacity() * sizeof(FrameId) +
+    return static_cast<int64_t>(prev_.bytes() + next_.bytes() +
                                 head_.capacity() * sizeof(FrameId) +
                                 tail_.capacity() * sizeof(FrameId) +
                                 node_size_.capacity() * sizeof(int64_t));
@@ -182,19 +209,50 @@ class FramePool {
   // kNoFrame, which marks a head's (valid) lack of a predecessor.
   static constexpr FrameId kUnlinked = -2;
 
+  // A link relative to the ascending neighbour (see the file comment).
+  using RelLink = std::make_unsigned_t<FrameId>;
+
+  // Shared set-up of both public constructors: zeroed links, no list yet.
+  struct Zeroed {};
+  FramePool(int64_t num_frames, int num_nodes, Zeroed)
+      : num_frames_(num_frames),
+        num_nodes_(num_nodes < 1 ? 1 : (num_nodes > kMaxNodes ? kMaxNodes : num_nodes)),
+        frames_per_node_((num_frames + num_nodes_ - 1) / num_nodes_),
+        prev_(static_cast<size_t>(num_frames)),
+        next_(static_cast<size_t>(num_frames)),
+        head_(static_cast<size_t>(num_nodes_), kNoFrame),
+        tail_(static_cast<size_t>(num_nodes_), kNoFrame),
+        node_size_(static_cast<size_t>(num_nodes_), 0) {
+    assert(num_frames_ > 0);
+  }
+
+  static RelLink U(FrameId id) { return static_cast<RelLink>(id); }
+  [[nodiscard]] FrameId Prev(FrameId id) const {
+    return static_cast<FrameId>(prev_[static_cast<size_t>(id)] + (U(id) - 1));
+  }
+  [[nodiscard]] FrameId Next(FrameId id) const {
+    return static_cast<FrameId>(next_[static_cast<size_t>(id)] + (U(id) + 1));
+  }
+  void SetPrev(FrameId id, FrameId prev) {
+    prev_[static_cast<size_t>(id)] = U(prev) - (U(id) - 1);
+  }
+  void SetNext(FrameId id, FrameId next) {
+    next_[static_cast<size_t>(id)] = U(next) - (U(id) + 1);
+  }
+
   void Link(FrameId id, FrameId prev, FrameId next, int node) {
     const auto n = static_cast<size_t>(node);
-    prev_[static_cast<size_t>(id)] = prev;
-    next_[static_cast<size_t>(id)] = next;
+    SetPrev(id, prev);
+    SetNext(id, next);
     if (prev == kNoFrame) {
       head_[n] = id;
     } else {
-      next_[static_cast<size_t>(prev)] = id;
+      SetNext(prev, id);
     }
     if (next == kNoFrame) {
       tail_[n] = id;
     } else {
-      prev_[static_cast<size_t>(next)] = id;
+      SetPrev(next, id);
     }
     ++size_;
     if (++node_size_[n] == 1) nonempty_mask_ |= uint64_t{1} << n;
@@ -202,20 +260,20 @@ class FramePool {
 
   void Unlink(FrameId id, int node) {
     const auto n = static_cast<size_t>(node);
-    const FrameId prev = prev_[static_cast<size_t>(id)];
-    const FrameId next = next_[static_cast<size_t>(id)];
+    const FrameId prev = Prev(id);
+    const FrameId next = Next(id);
     if (prev == kNoFrame) {
       head_[n] = next;
     } else {
-      next_[static_cast<size_t>(prev)] = next;
+      SetNext(prev, next);
     }
     if (next == kNoFrame) {
       tail_[n] = prev;
     } else {
-      prev_[static_cast<size_t>(next)] = prev;
+      SetPrev(next, prev);
     }
-    prev_[static_cast<size_t>(id)] = kUnlinked;
-    next_[static_cast<size_t>(id)] = kUnlinked;
+    SetPrev(id, kUnlinked);
+    SetNext(id, kUnlinked);
     --size_;
     if (--node_size_[n] == 0) nonempty_mask_ &= ~(uint64_t{1} << n);
   }
@@ -223,8 +281,8 @@ class FramePool {
   int64_t num_frames_;
   int num_nodes_;
   int64_t frames_per_node_;
-  std::vector<FrameId> prev_;
-  std::vector<FrameId> next_;
+  ZeroedArray<RelLink> prev_;
+  ZeroedArray<RelLink> next_;
   std::vector<FrameId> head_;
   std::vector<FrameId> tail_;
   std::vector<int64_t> node_size_;

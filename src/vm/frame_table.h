@@ -16,15 +16,23 @@
 // thousand frames) every plane fits in one or two L1 lines. Individual-field
 // reads and writes stay O(1) single-bit operations, so the fault paths pay
 // nothing for the scan-friendly layout.
+//
+// The all-zero table is the boot state: owner_ and vpage_ store the identity
+// plus one in unsigned arithmetic, so 0 reads back as kNoAs/kNoVPage, and
+// FreedBy::kNone and the cleared planes are 0 already. Every array is a
+// ZeroedArray, so constructing a 10^7-frame table writes nothing per frame,
+// and the host commits a page of metadata only when a frame in it is first
+// written.
 
 #ifndef TMH_SRC_VM_FRAME_TABLE_H_
 #define TMH_SRC_VM_FRAME_TABLE_H_
 
 #include <cassert>
 #include <cstdint>
-#include <vector>
+#include <type_traits>
 
 #include "src/vm/types.h"
+#include "src/vm/zeroed_array.h"
 
 namespace tmh {
 
@@ -50,21 +58,25 @@ class FrameTable {
  public:
   explicit FrameTable(int64_t num_frames)
       : size_(num_frames),
-        owner_(static_cast<size_t>(num_frames), kNoAs),
-        vpage_(static_cast<size_t>(num_frames), kNoVPage),
-        freed_by_(static_cast<size_t>(num_frames), FreedBy::kNone),
-        mapped_(NumWords(num_frames), 0),
-        dirty_(NumWords(num_frames), 0),
-        referenced_(NumWords(num_frames), 0),
-        contents_valid_(NumWords(num_frames), 0),
-        io_busy_(NumWords(num_frames), 0) {}
+        owner_(static_cast<size_t>(num_frames)),
+        vpage_(static_cast<size_t>(num_frames)),
+        freed_by_(static_cast<size_t>(num_frames)),
+        mapped_(NumWords(num_frames)),
+        dirty_(NumWords(num_frames)),
+        referenced_(NumWords(num_frames)),
+        contents_valid_(NumWords(num_frames)),
+        io_busy_(NumWords(num_frames)) {}
 
   [[nodiscard]] int64_t size() const { return size_; }
 
   // --- per-field accessors (hot paths) ---------------------------------------
 
-  [[nodiscard]] AsId owner(FrameId id) const { return owner_[Index(id)]; }
-  [[nodiscard]] VPage vpage(FrameId id) const { return vpage_[Index(id)]; }
+  [[nodiscard]] AsId owner(FrameId id) const {
+    return static_cast<AsId>(owner_[Index(id)] - 1);
+  }
+  [[nodiscard]] VPage vpage(FrameId id) const {
+    return static_cast<VPage>(vpage_[Index(id)] - 1);
+  }
   [[nodiscard]] bool mapped(FrameId id) const { return Test(mapped_, id); }
   [[nodiscard]] bool dirty(FrameId id) const { return Test(dirty_, id); }
   [[nodiscard]] bool referenced(FrameId id) const { return Test(referenced_, id); }
@@ -72,8 +84,8 @@ class FrameTable {
   [[nodiscard]] bool io_busy(FrameId id) const { return Test(io_busy_, id); }
   [[nodiscard]] FreedBy freed_by(FrameId id) const { return freed_by_[Index(id)]; }
 
-  void set_owner(FrameId id, AsId owner) { owner_[Index(id)] = owner; }
-  void set_vpage(FrameId id, VPage vpage) { vpage_[Index(id)] = vpage; }
+  void set_owner(FrameId id, AsId owner) { owner_[Index(id)] = EncodeOwner(owner); }
+  void set_vpage(FrameId id, VPage vpage) { vpage_[Index(id)] = EncodeVPage(vpage); }
   void set_mapped(FrameId id, bool v) { Write(mapped_, id, v); }
   void set_dirty(FrameId id, bool v) { Write(dirty_, id, v); }
   void set_referenced(FrameId id, bool v) { Write(referenced_, id, v); }
@@ -84,7 +96,7 @@ class FrameTable {
   // True when the frame still carries (as, vpage)'s identity — the common
   // predicate of the collapse/rescue paths.
   [[nodiscard]] bool IsPage(FrameId id, AsId as, VPage vpage) const {
-    return owner_[Index(id)] == as && vpage_[Index(id)] == vpage;
+    return owner_[Index(id)] == EncodeOwner(as) && vpage_[Index(id)] == EncodeVPage(vpage);
   }
 
   // --- snapshot accessor (checkers, tests, reports) --------------------------
@@ -105,8 +117,8 @@ class FrameTable {
   // Resets a frame to the unowned state (on reallocation to a new page).
   void ResetIdentity(FrameId id) {
     const size_t i = Index(id);
-    owner_[i] = kNoAs;
-    vpage_[i] = kNoVPage;
+    owner_[i] = 0;
+    vpage_[i] = 0;
     freed_by_[i] = FreedBy::kNone;
     const uint64_t clear = ~Mask(id);
     mapped_[Word(id)] &= clear;
@@ -125,17 +137,14 @@ class FrameTable {
   [[nodiscard]] const uint64_t* referenced_words() const { return referenced_.data(); }
   [[nodiscard]] const uint64_t* io_busy_words() const { return io_busy_.data(); }
 
-  // Host memory consumed by the table's per-frame structures. The scale tests
-  // hold this to a documented bound: sizeof(AsId)+sizeof(VPage)+1 dense bytes
-  // plus 5 plane bits per frame (~13.6 B/frame at the default type widths).
+  // Host memory reserved for the table's per-frame structures; the host
+  // commits only the pages that were written. The scale tests hold this to a
+  // documented bound: sizeof(AsId)+sizeof(VPage)+1 dense bytes plus 5 plane
+  // bits per frame (~13.6 B/frame at the default type widths).
   [[nodiscard]] int64_t MemoryFootprintBytes() const {
-    return static_cast<int64_t>(owner_.capacity() * sizeof(AsId) +
-                                vpage_.capacity() * sizeof(VPage) +
-                                freed_by_.capacity() * sizeof(FreedBy) +
-                                (mapped_.capacity() + dirty_.capacity() +
-                                 referenced_.capacity() + contents_valid_.capacity() +
-                                 io_busy_.capacity()) *
-                                    sizeof(uint64_t));
+    return static_cast<int64_t>(owner_.bytes() + vpage_.bytes() + freed_by_.bytes() +
+                                mapped_.bytes() + dirty_.bytes() + referenced_.bytes() +
+                                contents_valid_.bytes() + io_busy_.bytes());
   }
 
  private:
@@ -149,11 +158,17 @@ class FrameTable {
   static size_t Word(FrameId id) { return static_cast<size_t>(id) >> 6; }
   static uint64_t Mask(FrameId id) { return 1ULL << (static_cast<uint64_t>(id) & 63); }
 
-  [[nodiscard]] bool Test(const std::vector<uint64_t>& plane, FrameId id) const {
+  // Identity plus one, so the all-zero array reads as "no identity".
+  using RawAs = std::make_unsigned_t<AsId>;
+  using RawVPage = std::make_unsigned_t<VPage>;
+  static RawAs EncodeOwner(AsId as) { return static_cast<RawAs>(as) + 1; }
+  static RawVPage EncodeVPage(VPage vpage) { return static_cast<RawVPage>(vpage) + 1; }
+
+  [[nodiscard]] bool Test(const ZeroedArray<uint64_t>& plane, FrameId id) const {
     assert(id >= 0 && id < size_);
     return (plane[Word(id)] & Mask(id)) != 0;
   }
-  void Write(std::vector<uint64_t>& plane, FrameId id, bool v) {
+  void Write(ZeroedArray<uint64_t>& plane, FrameId id, bool v) {
     assert(id >= 0 && id < size_);
     if (v) {
       plane[Word(id)] |= Mask(id);
@@ -163,15 +178,15 @@ class FrameTable {
   }
 
   int64_t size_;
-  std::vector<AsId> owner_;
-  std::vector<VPage> vpage_;
-  std::vector<FreedBy> freed_by_;
+  ZeroedArray<RawAs> owner_;
+  ZeroedArray<RawVPage> vpage_;
+  ZeroedArray<FreedBy> freed_by_;
   // Bit planes, one bit per frame.
-  std::vector<uint64_t> mapped_;
-  std::vector<uint64_t> dirty_;
-  std::vector<uint64_t> referenced_;
-  std::vector<uint64_t> contents_valid_;
-  std::vector<uint64_t> io_busy_;
+  ZeroedArray<uint64_t> mapped_;
+  ZeroedArray<uint64_t> dirty_;
+  ZeroedArray<uint64_t> referenced_;
+  ZeroedArray<uint64_t> contents_valid_;
+  ZeroedArray<uint64_t> io_busy_;
 };
 
 }  // namespace tmh

@@ -9,7 +9,10 @@
 // documented bounds — generous wall-clock ceilings that an O(frames) scan on
 // any per-op path would blow by orders of magnitude.
 
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdio>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -285,6 +288,39 @@ TEST(ScaleTest, TenMillionFrameKernelFitsFootprintBound) {
   EXPECT_LT(static_cast<double>(bytes) / static_cast<double>(kTenMillion), 24.0);
   EXPECT_EQ(kernel.free_list().size(), kTenMillion);
   EXPECT_EQ(kernel.free_list().num_nodes(), 8);
+}
+
+// Resident bytes of this process, from /proc/self/statm (0 if unreadable).
+int64_t ResidentBytes() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) {
+    return 0;
+  }
+  long long size = 0;
+  long long resident = 0;
+  const int read = std::fscanf(f, "%lld %lld", &size, &resident);
+  std::fclose(f);
+  return read == 2 ? resident * sysconf(_SC_PAGESIZE) : 0;
+}
+
+// Booting the machine writes O(nodes) words: the per-frame arrays are zero
+// pages the host commits only when a simulated frame first uses them. Filling
+// them (as the kernel once did) commits about 206 MB here.
+TEST(ScaleTest, TenMillionFrameKernelCommitsOnlyWhatItTouches) {
+  MachineConfig machine;
+  machine.page_size_bytes = 4 * 1024;
+  machine.user_memory_bytes = kTenMillion * machine.page_size_bytes;
+  machine.num_nodes = 8;
+  const int64_t before = ResidentBytes();
+  ASSERT_GT(before, 0) << "/proc/self/statm unreadable";
+  Kernel kernel(machine);
+  const int64_t committed = ResidentBytes() - before;
+  EXPECT_LT(committed, int64_t{4} << 20) << committed << " bytes committed by construction";
+  const FramePool& pool = kernel.free_list();
+  EXPECT_EQ(pool.size(), kTenMillion);
+  for (int node = 0; node < pool.num_nodes(); ++node) {
+    EXPECT_EQ(pool.head(node), pool.NodeBegin(node)) << "node " << node;
+  }
 }
 
 TEST(ScaleTest, PoolOpsStayConstantTimeAtTenMillionFrames) {

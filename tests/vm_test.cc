@@ -239,7 +239,7 @@ TEST(ResidencyBitmapTest, HeaderWordsRoundTrip) {
 TEST(ResidencyBitmapTest, SetRangeMatchesBitwiseSets) {
   // Exercise every head/tail alignment class against the one-bit reference.
   for (const auto& [first, count] : std::vector<std::pair<int64_t, int64_t>>{
-           {0, 64}, {0, 130}, {3, 5}, {60, 8}, {63, 1}, {64, 64}, {5, 200}, {190, 9}}) {
+           {0, 64}, {0, 130}, {3, 5}, {60, 8}, {63, 1}, {64, 64}, {5, 194}, {190, 9}}) {
     ResidencyBitmap wordwise(199);
     ResidencyBitmap reference(199);
     wordwise.SetRange(first, count);
@@ -256,7 +256,7 @@ TEST(ResidencyBitmapTest, SetRangeMatchesBitwiseSets) {
 
 TEST(ResidencyBitmapTest, ClearRangeMatchesBitwiseClears) {
   for (const auto& [first, count] : std::vector<std::pair<int64_t, int64_t>>{
-           {0, 64}, {0, 130}, {3, 5}, {60, 8}, {63, 1}, {64, 64}, {5, 200}, {190, 9}}) {
+           {0, 64}, {0, 130}, {3, 5}, {60, 8}, {63, 1}, {64, 64}, {5, 194}, {190, 9}}) {
     ResidencyBitmap wordwise(199);
     ResidencyBitmap reference(199);
     wordwise.SetAll();
