@@ -1,7 +1,7 @@
 // Machine-readable regression harness for the substrate's hot paths.
 //
 // Emits one JSON document (schema "tmh-bench-v1") with ns/op and items/s for
-// the event queue, residency bitmap, free list, and hint filter, plus
+// the event queue, residency bitmap, frame pool, and hint filter, plus
 // sim-events/s for a fixed Figure-7-style end-to-end run. The numbers are
 // wall-clock and therefore noisy; each micro-kernel is repeated and the best
 // repeat is reported, which is stable enough for the coarse regression gate in
@@ -27,7 +27,7 @@
 #include "src/runtime/runtime_layer.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/vm/free_list.h"
+#include "src/vm/frame_pool.h"
 #include "src/vm/residency_bitmap.h"
 #include "src/workloads/workloads.h"
 
@@ -76,20 +76,6 @@ BenchResult EventQueueScheduleRun(int n, int repeats) {
   });
 }
 
-BenchResult EventQueueCancelHalf(int n, int repeats) {
-  std::vector<EventId> ids(static_cast<size_t>(n));
-  return Best("event_queue_cancel_half", static_cast<uint64_t>(n), repeats, [n, &ids] {
-    EventQueue q;
-    for (int i = 0; i < n; ++i) {
-      ids[static_cast<size_t>(i)] = q.ScheduleAt((i * 7919) % 100000, [] {});
-    }
-    for (int i = 0; i < n; i += 2) {
-      q.Cancel(ids[static_cast<size_t>(i)]);
-    }
-    q.RunToCompletion();
-  });
-}
-
 BenchResult BitmapRangeOps(int64_t pages, int repeats) {
   ResidencyBitmap bitmap(pages);
   const int64_t span = 512;  // a ~2 MB region at 4 KB pages
@@ -110,18 +96,15 @@ BenchResult BitmapRangeOps(int64_t pages, int repeats) {
 }
 
 BenchResult FreeListChurn(int64_t frames, uint64_t iters, int repeats) {
-  FreeList list(frames);
-  for (FrameId f = 0; f < frames; ++f) {
-    list.PushTail(f);
-  }
+  FramePool pool(frames, 1, FramePool::AllFree{});
   Rng rng(1);
-  return Best("free_list_churn", iters, repeats, [&list, &rng, iters] {
+  return Best("free_list_churn", iters, repeats, [&pool, &rng, iters] {
     for (uint64_t i = 0; i < iters; ++i) {
-      const FrameId f = list.PopHead();
+      const FrameId f = pool.PopHead(0);
       if (rng.NextBelow(2) == 0) {
-        list.PushTail(f);
+        pool.PushTail(f);
       } else {
-        list.PushHead(f);
+        pool.PushHead(f);
       }
     }
   });
@@ -361,7 +344,6 @@ int main(int argc, char** argv) {
 
   std::vector<tmh::BenchResult> results;
   results.push_back(tmh::EventQueueScheduleRun(10000, 5));
-  results.push_back(tmh::EventQueueCancelHalf(10000, 5));
   results.push_back(tmh::BitmapRangeOps(32768, 5));
   results.push_back(tmh::FreeListChurn(4800, 100000, 5));
   results.push_back(tmh::HintFiltering(100000, 5));

@@ -13,7 +13,6 @@
 #ifndef TMH_BENCH_BENCH_UTIL_H_
 #define TMH_BENCH_BENCH_UTIL_H_
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -21,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/cli_args.h"
 #include "src/core/experiment.h"
 #include "src/core/report.h"
 #include "src/core/sweep.h"
@@ -38,49 +38,26 @@ struct BenchArgs {
   int tiers = 0;
 };
 
-// Strict numeric arguments: true only if all of `text` is one number.
-// (atoi/atof stop at the first bad character, so they read "2x" as 2.)
-inline bool ParseWholeLong(const char* text, long* value) {
-  char* end = nullptr;
-  errno = 0;
-  *value = std::strtol(text, &end, 10);
-  return end != text && *end == '\0' && errno == 0;
-}
-inline bool ParseWholeDouble(const char* text, double* value) {
-  char* end = nullptr;
-  errno = 0;
-  *value = std::strtod(text, &end);
-  return end != text && *end == '\0' && errno == 0;
-}
-
 // Bad input exits with status 2 and a message naming the argument.
 inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
   bool have_scale = false;
   // The value after the flag at argv[i], as an integer in [lo, hi].
-  auto int_flag = [&](int& i, long lo, long hi, const char* range) {
+  auto int_flag = [&](int& i, long lo, long hi) {
     const char* flag = argv[i];
     if (i + 1 >= argc) {
       std::fprintf(stderr, "%s requires a value\n", flag);
       std::exit(2);
     }
-    long value = 0;
-    if (!ParseWholeLong(argv[++i], &value) || value < lo || value > hi) {
-      std::fprintf(stderr, "%s must be %s; got '%s'\n", flag, range, argv[i]);
-      std::exit(2);
-    }
-    return static_cast<int>(value);
+    return static_cast<int>(IntegerArg(flag, argv[++i], lo, hi));
   };
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tiers") == 0) {
-      args.tiers = int_flag(i, 1, 4, "an integer in [1, 4]");
+      args.tiers = int_flag(i, 1, 4);
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
-      args.jobs = int_flag(i, 0, std::numeric_limits<int>::max(), "an integer >= 0");
+      args.jobs = int_flag(i, 0, std::numeric_limits<int>::max());
     } else if (!have_scale) {
-      if (!ParseWholeDouble(argv[i], &args.scale) || !(args.scale > 0.0 && args.scale <= 1.0)) {
-        std::fprintf(stderr, "scale must be a number in (0, 1]; got '%s'\n", argv[i]);
-        std::exit(2);
-      }
+      args.scale = NumberArg("scale", argv[i], 0.0, 1.0, /*exclude_lo=*/true);
       have_scale = true;
     } else {
       std::fprintf(stderr, "unexpected argument '%s' (usage: [scale] [--jobs N] [--tiers N])\n",

@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the substrate's hot paths: the
-// event queue, the free list, the residency bitmap, the compiler pass, and a
+// event queue, the frame pool, the residency bitmap, the compiler pass, and a
 // small end-to-end experiment. These guard the simulator's own performance,
 // which bounds how large a paper-scale experiment is practical.
 
@@ -14,8 +14,8 @@
 #include "src/sim/event_queue.h"
 #include "src/sim/ring_buffer.h"
 #include "src/sim/rng.h"
+#include "src/vm/frame_pool.h"
 #include "src/vm/frame_table.h"
-#include "src/vm/free_list.h"
 #include "src/vm/residency_bitmap.h"
 #include "src/workloads/workloads.h"
 
@@ -34,42 +34,22 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000);
 
-void BM_EventQueueCancelHalf(benchmark::State& state) {
-  // Cancellation is O(1) (generation stamp); the cancelled items then die as
-  // stale entries during the radix-wheel drain. Guards both halves.
-  std::vector<EventId> ids(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    EventQueue q;
-    for (int i = 0; i < state.range(0); ++i) {
-      ids[static_cast<size_t>(i)] = q.ScheduleAt((i * 7919) % 100000, [] {});
-    }
-    for (int i = 0; i < state.range(0); i += 2) {
-      q.Cancel(ids[static_cast<size_t>(i)]);
-    }
-    q.RunToCompletion();
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_EventQueueCancelHalf)->Arg(10000);
-
-void BM_FreeListChurn(benchmark::State& state) {
+void BM_FramePoolChurn(benchmark::State& state) {
   const int64_t frames = state.range(0);
-  FreeList list(frames);
-  for (FrameId f = 0; f < frames; ++f) {
-    list.PushTail(f);
-  }
+  FramePool pool(frames, 1, FramePool::AllFree{});
   Rng rng(1);
   for (auto _ : state) {
-    const FrameId f = list.PopHead();
+    const FrameId f = pool.PopHead(0);
+    benchmark::DoNotOptimize(f);
     if (rng.NextBelow(2) == 0) {
-      list.PushTail(f);
+      pool.PushTail(f);
     } else {
-      list.PushHead(f);
+      pool.PushHead(f);
     }
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FreeListChurn)->Arg(4800);
+BENCHMARK(BM_FramePoolChurn)->Arg(4800);
 
 void BM_BitmapSetTestClear(benchmark::State& state) {
   ResidencyBitmap bitmap(32768);

@@ -147,7 +147,7 @@ void InvariantChecker::BuildReleaseQueue(Kernel& kernel) {
 void InvariantChecker::Validate(Kernel& kernel) {
   const SimTime now = kernel.Now();
   const FrameTable& frames = kernel.frames();
-  const FramePool& free_list = kernel.free_list();
+  const FramePool& pool = kernel.free_list();
   const int64_t num_frames = frames.size();
   const uint64_t* mapped = frames.mapped_words();
   const uint64_t* io_busy = frames.io_busy_words();
@@ -164,13 +164,13 @@ void InvariantChecker::Validate(Kernel& kernel) {
   // a free frame in use, a frame outside its node's range, a node's count)
   // are held until it ends and then reported in that order.
   on_free_.assign(num_words, 0);
-  const bool compare_free = with_oracle && oracle_.num_nodes() == free_list.num_nodes();
+  const bool compare_free = with_oracle && oracle_.num_nodes() == pool.num_nodes();
   int64_t walked_total = 0;
   FrameId unclean = kNoFrame;  // first free frame, in list order, in use
   std::string node_failure;
-  for (int node = 0; node < free_list.num_nodes(); ++node) {
-    const FrameId begin = free_list.NodeBegin(node);
-    const FrameId end = free_list.NodeEnd(node);
+  for (int node = 0; node < pool.num_nodes(); ++node) {
+    const FrameId begin = pool.NodeBegin(node);
+    const FrameId end = pool.NodeEnd(node);
     // The model's list for this node, stepped in lockstep with the walk.
     const std::deque<FrameId>* model = compare_free ? &oracle_.free_node(node) : nullptr;
     std::deque<FrameId>::const_iterator model_next;
@@ -179,7 +179,7 @@ void InvariantChecker::Validate(Kernel& kernel) {
     }
     bool model_agrees = model != nullptr;
     int64_t walked = 0;
-    for (FrameId f = free_list.head(node); f != kNoFrame; f = free_list.next(f)) {
+    for (FrameId f = pool.head(node); f != kNoFrame; f = pool.next(f)) {
       if (f < 0 || f >= num_frames) {
         Fail(now, "I-FL", "free list contains out-of-range frame " + std::to_string(f));
         return;
@@ -198,7 +198,7 @@ void InvariantChecker::Validate(Kernel& kernel) {
       if ((f < begin || f >= end) && node_failure.empty()) {
         node_failure = "node " + std::to_string(node) + " free list holds frame " +
                        std::to_string(f) + " owned by node " +
-                       std::to_string(free_list.NodeOf(f));
+                       std::to_string(pool.NodeOf(f));
       }
       if (model_agrees) {
         model_agrees = model_next != model->end() && *model_next == f;
@@ -206,10 +206,10 @@ void InvariantChecker::Validate(Kernel& kernel) {
       }
     }
     walked_total += walked;
-    if (node_failure.empty() && walked != free_list.node_size(node)) {
+    if (node_failure.empty() && walked != pool.node_size(node)) {
       node_failure = "node " + std::to_string(node) + " link walk found " +
                      std::to_string(walked) + " frames but node_size() is " +
-                     std::to_string(free_list.node_size(node));
+                     std::to_string(pool.node_size(node));
     }
     if (model != nullptr && oracle_free.empty() &&
         !(model_agrees && model_next == model->end())) {
@@ -217,10 +217,10 @@ void InvariantChecker::Validate(Kernel& kernel) {
                     " free-list order differs from the reference model";
     }
   }
-  if (walked_total != free_list.size()) {
+  if (walked_total != pool.size()) {
     Fail(now, "I-FL",
          "free-list link walk found " + std::to_string(walked_total) +
-             " frames but size() is " + std::to_string(free_list.size()));
+             " frames but size() is " + std::to_string(pool.size()));
     return;
   }
   if (unclean != kNoFrame) {
@@ -572,7 +572,7 @@ void InvariantChecker::Validate(Kernel& kernel) {
   if (!with_oracle) {
     return;
   }
-  if (oracle_.num_nodes() != free_list.num_nodes()) {
+  if (oracle_.num_nodes() != pool.num_nodes()) {
     Fail(now, "oracle", "node count differs from the reference model");
     return;
   }

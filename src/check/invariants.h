@@ -1,7 +1,7 @@
 // Kernel invariant checker.
 //
 // Attaches to a Kernel as its VmChecker and cross-validates the bitmap, the
-// frame table, the page tables, and the FreeList against each other — and
+// frame table, the page tables, and the free lists against each other — and
 // against the VmOracle reference model — while the simulation runs. Per-hook
 // the oracle replays and immediately flags semantic divergence (wrong
 // allocation order, double free, writeback of a clean frame, a mispublished

@@ -329,10 +329,6 @@ ExperimentResult RunExperiment(const ExperimentSpec& spec, CompileCache* compile
   result.check_failure = std::move(inner.check_failure);
   result.checks_run = inner.checks_run;
   result.monitor = inner.monitor;
-  result.daemon_activations = inner.kernel.daemon_activations;
-  // The free-list rescue counter is kernel-global; recover it from the stats.
-  result.free_list_rescues =
-      inner.kernel.rescued_daemon_freed + inner.kernel.rescued_release_freed;
   return result;
 }
 

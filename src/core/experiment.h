@@ -117,8 +117,6 @@ struct ExperimentResult {
   std::string metrics_text; // MetricsRegistry::TextDump(), when spec.observe
   uint64_t swap_reads = 0;
   uint64_t swap_writes = 0;
-  uint64_t free_list_rescues = 0;
-  uint64_t daemon_activations = 0;
   uint64_t sim_events = 0;  // events the kernel's queue executed (substrate load)
   bool completed = false;  // app thread reached kDone within max_events
   // First invariant violation (empty = clean), when spec.checks.

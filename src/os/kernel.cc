@@ -686,11 +686,11 @@ void Kernel::IssueReadAhead(AddressSpace* as, VPage vpage) {
   const AsId as_id = as->id();
   swap_->ReadPage(as->SwapSlot(vpage), [this, as_id, vpage, f]() {
     frames_.set_io_busy(f, false);
-    AddressSpace* as = address_spaces_[static_cast<size_t>(as_id)].get();
-    if (frames_.IsPage(f, as_id, vpage) && !as->page_table().at(vpage).resident) {
+    AddressSpace* owner = address_spaces_[static_cast<size_t>(as_id)].get();
+    if (frames_.IsPage(f, as_id, vpage) && !owner->page_table().at(vpage).resident) {
       // Like a prefetch: resident but unvalidated (no TLB entry).
-      MapFrame(as, vpage, f, /*validate=*/false);
-      UpdateSharedHeader(as);
+      MapFrame(owner, vpage, f, /*validate=*/false);
+      UpdateSharedHeader(owner);
     }
     WakeFrameWaiters(f);
   });
@@ -733,9 +733,9 @@ FrameId Kernel::TierTakeFrame(int tier, SimDuration* cost) {
     if (plane.owner[static_cast<size_t>(victim)] != kNoAs) {
       break;
     }
-    victim = (victim + 1) % plane.frames;
+    victim = static_cast<FrameId>((victim + 1) % plane.frames);
   }
-  plane.clock_hand = (victim + 1) % plane.frames;
+  plane.clock_hand = static_cast<FrameId>((victim + 1) % plane.frames);
   const AsId vas = plane.owner[static_cast<size_t>(victim)];
   const VPage vp = plane.vpage[static_cast<size_t>(victim)];
   const bool vdirty = plane.dirty[static_cast<size_t>(victim)] != 0;

@@ -2,81 +2,23 @@
 
 namespace tmh {
 
-namespace {
-
-constexpr uint32_t SlotOf(EventId id) { return static_cast<uint32_t>(id); }
-constexpr uint32_t GenOf(EventId id) { return static_cast<uint32_t>(id >> 32); }
-
-}  // namespace
-
-bool EventQueue::Cancel(EventId id) {
-  if (id == kInvalidEventId) {
-    return false;
-  }
-  const uint32_t slot = SlotOf(id);
-  if (slot >= next_slot_) {
-    return false;  // never existed
-  }
-  Slot& rec = SlotAt(slot);
-  if (rec.gen != GenOf(id)) {
-    return false;  // already ran or already cancelled
-  }
-  rec.action.Reset();  // free captures now, not at slot reuse
-  ++rec.gen;
-  rec.next_free = free_head_;
-  free_head_ = slot;
-  --live_count_;
-  return true;
-}
-
-bool EventQueue::PeekEarliest(SimTime* when) const {
-  uint32_t levels = level_mask_;
-  while (levels != 0) {
-    const int level = __builtin_ctz(levels);
-    const int slot = FirstSlot(level);
-    Bucket& b = BucketAt(level, slot);
-    if (!CompactBucket(level, slot, b)) {
-      levels = level_mask_;
-      continue;
-    }
-    if (level == 0) {
-      *when = static_cast<SimTime>(b.items[b.head].key);
-      return true;
-    }
-    uint64_t min_key = b.items[0].key;
-    for (const Item& it : b.items) {
-      min_key = it.key < min_key ? it.key : min_key;
-    }
-    *when = static_cast<SimTime>(min_key);
-    return true;
-  }
-  return false;
-}
-
-uint64_t EventQueue::RunUntil(SimTime deadline) {
-  uint64_t count = 0;
-  while (true) {
-    SimTime next;
-    if (!PeekEarliest(&next) || next > deadline) {
-      break;
-    }
-    RunOne();
-    ++count;
-  }
-  // Advance the clock to the deadline so back-to-back RunUntil calls observe
-  // monotonic time even across empty stretches.
-  if (now_ < deadline) {
-    now_ = deadline;
-  }
-  return count;
-}
-
 SimTime EventQueue::NextEventTime(SimTime fallback) const {
-  SimTime next;
-  if (!PeekEarliest(&next)) {
+  if (level_mask_ == 0) {
     return fallback;
   }
-  return next;
+  // Every bucket with its mask bit set holds a pending item, and each level's
+  // keys all precede the next level's, so the earliest event is in the
+  // lowest level's first bucket: at its head on level 0, else its minimum.
+  const int level = __builtin_ctz(level_mask_);
+  const Bucket& b = buckets_[level][FirstSlot(level)];
+  if (level == 0) {
+    return static_cast<SimTime>(b.items[b.head].key);
+  }
+  uint64_t min_key = b.items[0].key;
+  for (const Item& it : b.items) {
+    min_key = it.key < min_key ? it.key : min_key;
+  }
+  return static_cast<SimTime>(min_key);
 }
 
 }  // namespace tmh

@@ -24,16 +24,14 @@
 //     ceil(64/6) times over its whole lifetime (2-3 times in practice).
 //     All bucket traffic is sequential, unlike a binary heap's random walks.
 //
-//   * Handles are generation-stamped slot references, making Cancel() O(1):
-//     it bumps the slot's generation, and the now-stale wheel item is dropped
-//     when it next surfaces.
+//   * There is no cancellation: no component of the simulated machine
+//     withdraws an event once it is posted, so every wheel item is live and
+//     dispatch needs no liveness check.
 //
-//   * Wheel items are 16 trivially-copyable bytes; the action body and the
-//     slot's generation stamp live together in a chunked slot table whose
-//     chunks never move. Cascades therefore shuffle raw PODs (memmove), each
-//     action is constructed exactly once (in its slot at schedule) and
-//     invoked in place, and the liveness check, generation bump, and
-//     dispatch all touch the same cache line.
+//   * Wheel items are 16 trivially-copyable bytes; the action body lives in
+//     a chunked slot table whose chunks never move. Cascades therefore
+//     shuffle raw PODs (memmove), and each action is constructed exactly once
+//     (in its slot at schedule) and invoked in place.
 
 #ifndef TMH_SRC_SIM_EVENT_QUEUE_H_
 #define TMH_SRC_SIM_EVENT_QUEUE_H_
@@ -50,13 +48,6 @@
 
 namespace tmh {
 
-// Handle used to cancel a pending event: a slot index in the low 32 bits and
-// that slot's generation in the high 32 bits. Generations start at 1, so no
-// valid handle equals kInvalidEventId.
-using EventId = uint64_t;
-
-inline constexpr EventId kInvalidEventId = 0;
-
 class EventQueue {
  public:
   using Action = InlineCallable;
@@ -65,52 +56,43 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Current simulated time. Advances only inside RunOne()/RunUntil().
+  // Current simulated time. Advances only inside RunWhile().
   [[nodiscard]] SimTime Now() const { return now_; }
 
-  // Schedules `action` to run at absolute time `when` (>= Now()). Returns a
-  // handle usable with Cancel(). Accepts any void() callable (constructed
-  // in place in its slot) or a prebuilt Action (moved in).
+  // Schedules `action` to run at absolute time `when` (>= Now()). Accepts any
+  // void() callable (constructed in place in its slot) or a prebuilt Action
+  // (moved in).
   template <typename F,
             typename = std::enable_if_t<std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventId ScheduleAt(SimTime when, F&& action);
+  void ScheduleAt(SimTime when, F&& action);
 
-  // Schedules `action` to run `delay` microseconds from now.
+  // Schedules `action` to run `delay` nanoseconds from now.
   template <typename F,
             typename = std::enable_if_t<std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  EventId ScheduleAfter(SimDuration delay, F&& action) {
-    return ScheduleAt(now_ + delay, std::forward<F>(action));
+  void ScheduleAfter(SimDuration delay, F&& action) {
+    ScheduleAt(now_ + delay, std::forward<F>(action));
   }
 
-  // Cancels a pending event in O(1). Returns false if the event already ran,
-  // was already cancelled, or never existed.
-  bool Cancel(EventId id);
-
-  // Runs the next pending event, advancing Now(). Returns false if empty.
-  bool RunOne();
-
-  // Runs events until the queue is empty or Now() would exceed `deadline`.
-  // Returns the number of events executed.
-  uint64_t RunUntil(SimTime deadline);
-
-  // Runs events until the queue drains. Returns the number executed. A safety
-  // cap guards against runaway self-rescheduling loops.
-  uint64_t RunToCompletion(uint64_t max_events = UINT64_MAX);
-
-  // Runs events with the same bucket-draining dispatch as RunToCompletion,
-  // but calls `stop()` after each executed event and returns as soon as it
-  // yields true. The callable is a template parameter, so a cheap predicate
-  // (e.g. a generation-counter compare) inlines into the dispatch loop
-  // instead of costing a std::function call per event.
+  // Runs events in (time, schedule order) and calls `stop()` after each one,
+  // returning as soon as it yields true, when the queue drains, or when
+  // `max_events` have run (a safety cap against runaway self-rescheduling
+  // loops). Returns the number executed. This is the only function that
+  // invokes actions. The callable is a template parameter, so a cheap
+  // predicate (e.g. a generation-counter compare) inlines into the dispatch
+  // loop instead of costing a std::function call per event.
   template <typename Stop,
             typename = std::enable_if_t<std::is_invocable_r_v<bool, Stop&>>>
   uint64_t RunWhile(Stop&& stop, uint64_t max_events = UINT64_MAX);
 
-  // Time of the earliest pending (non-cancelled) event, or `fallback` if none.
+  // Runs events until the queue drains or `max_events` have run.
+  uint64_t RunToCompletion(uint64_t max_events = UINT64_MAX) {
+    return RunWhile([] { return false; }, max_events);
+  }
+
+  // Time of the earliest pending event, or `fallback` if none. Also exact
+  // when called from inside a running action.
   [[nodiscard]] SimTime NextEventTime(SimTime fallback) const;
 
-  [[nodiscard]] bool Empty() const { return live_count_ == 0; }
-  [[nodiscard]] size_t PendingCount() const { return live_count_; }
   [[nodiscard]] uint64_t ExecutedCount() const { return executed_; }
 
  private:
@@ -125,22 +107,21 @@ class EventQueue {
   // moves while the event is pending.
   struct Item {
     uint64_t key;   // absolute time
-    uint32_t slot;  // handle slot (action body + cancellation check)
-    uint32_t gen;
+    uint32_t slot;  // slot-table index of the action
   };
-  static_assert(std::is_trivially_copyable_v<Item>);
+  static_assert(std::is_trivially_copyable_v<Item> && sizeof(Item) == 16);
 
-  // One pending event's out-of-wheel state. gen counts up on every retire
-  // (run or cancel), invalidating outstanding handles and stale wheel items.
-  // Free slots form an intrusive LIFO through next_free, so recycling a slot
-  // touches only this (already hot) cache line: with the 24-byte action
-  // buffer the whole record is exactly 48 bytes.
+  // One pending event's action. Free slots form an intrusive LIFO through
+  // next_free, so recycling a slot touches only this (already hot) cache
+  // line: with the 24-byte action buffer the whole record is 48 bytes.
   struct Slot {
     Action action;
-    uint32_t gen = 1;
     uint32_t next_free = kNoFreeSlot;
   };
 
+  // A bucket whose bit is set in slot_masks_ holds at least one pending item
+  // at or after `head`: RunWhile clears a level-0 bucket the moment it takes
+  // the last item, and cascades clear the buckets they empty.
   struct Bucket {
     std::vector<Item> items;
     // Pop cursor; nonzero only in level-0 buckets, which hold a single exact
@@ -148,80 +129,59 @@ class EventQueue {
     size_t head = 0;
   };
 
-  [[nodiscard]] bool IsLive(const Item& it) const { return SlotAt(it.slot).gen == it.gen; }
-
   // Files `key` relative to `cur_`: level = highest differing base-64 digit,
   // slot = that digit of `key`.
   void Locate(uint64_t key, int* level, int* slot) const;
-
-  [[nodiscard]] Bucket& BucketAt(int level, int slot) const {
-    return buckets_[level][slot];
-  }
 
   // Lowest occupied slot of `level`.
   [[nodiscard]] int FirstSlot(int level) const {
     return __builtin_ctzll(slot_masks_[level]);
   }
 
-  void Append(int level, int slot, Item item) const;
-  void ClearBucket(int level, int slot) const;
+  void Append(int level, int slot, Item item);
+  void ClearBucket(int level, int slot);
 
-  // Drops cancelled items from the front (level 0) or anywhere (level >= 1)
-  // of `b`; returns false if the bucket drained and was cleared.
-  bool CompactBucket(int level, int slot, Bucket& b) const;
+  // Makes the earliest pending event the head of a level-0 bucket, advancing
+  // `cur_` and cascading buckets as needed. Returns that bucket's slot, or -1
+  // if the queue is empty. Only RunWhile calls it: advancing `cur_` past
+  // Now() would break the monotonicity contract for later ScheduleAt() calls.
+  int AdvanceToHead();
 
-  // Makes the earliest live event the head of a level-0 bucket, advancing
-  // `cur_` and cascading buckets as needed. Returns that bucket, or nullptr
-  // if the queue is empty. Only called from mutating run paths: advancing
-  // `cur_` past Now() would break the monotonicity contract for later
-  // ScheduleAt() calls, so const peeks use PeekEarliest() instead.
-  Bucket* AdvanceToHead();
-
-  // Earliest live event time without advancing `cur_` (exact; skips and
-  // drops cancelled items). Returns false if the queue is empty.
-  bool PeekEarliest(SimTime* when) const;
-
-  // Allocates a handle slot (recycled or fresh) for one pending event.
+  // Allocates a slot (recycled or fresh) for one pending event.
   uint32_t AllocSlot();
 
   SimTime now_ = 0;
   uint64_t executed_ = 0;
-  size_t live_count_ = 0;
 
   // Wheel reference time: cur_ <= every pending key, and cur_ <= now_ at
-  // every public API boundary. Mutable (with the buckets and masks) so const
-  // peeks can drop cancelled items without changing observable state.
-  mutable uint64_t cur_ = 0;
-  mutable Bucket buckets_[kLevels][kSlotsPerLevel];
-  mutable uint64_t slot_masks_[kLevels] = {};  // nonempty-slot bitmap per level
-  mutable uint32_t level_mask_ = 0;            // nonempty-level bitmap
+  // every public API boundary.
+  uint64_t cur_ = 0;
+  Bucket buckets_[kLevels][kSlotsPerLevel];
+  uint64_t slot_masks_[kLevels] = {};  // nonempty-slot bitmap per level
+  uint32_t level_mask_ = 0;            // nonempty-level bitmap
 
   // Slot table: fixed-size chunks that are never reallocated, so a Slot&
   // stays valid across ScheduleAt() calls made from inside a running action
-  // (which lets RunOne() invoke in place instead of moving the action out).
+  // (which lets RunWhile() invoke in place instead of moving the action out).
   static constexpr uint32_t kSlotChunkShift = 9;
   static constexpr uint32_t kSlotChunkSize = 1u << kSlotChunkShift;
 
   [[nodiscard]] Slot& SlotAt(uint32_t slot) {
     return slot_chunks_[slot >> kSlotChunkShift][slot & (kSlotChunkSize - 1)];
   }
-  [[nodiscard]] const Slot& SlotAt(uint32_t slot) const {
-    return slot_chunks_[slot >> kSlotChunkShift][slot & (kSlotChunkSize - 1)];
-  }
 
   static constexpr uint32_t kNoFreeSlot = UINT32_MAX;
 
   std::vector<std::unique_ptr<Slot[]>> slot_chunks_;
-  uint32_t next_slot_ = 0;  // slots ever allocated; bounds valid handles
+  uint32_t next_slot_ = 0;  // slots ever allocated
   uint32_t slot_cap_ = 0;   // next_slot_ == slot_cap_ => grow a chunk
   uint32_t free_head_ = kNoFreeSlot;  // intrusive free-slot LIFO
 };
 
 // ---------------------------------------------------------------------------
-// Hot path, defined inline: ScheduleAt/RunOne and their helpers sit inside
+// Hot path, defined inline: ScheduleAt/RunWhile and their helpers sit inside
 // the simulator's innermost loops, and keeping them visible to callers is
-// worth several ns/event. Cancel, the peeks, and RunUntil stay out of line
-// in event_queue.cc.
+// worth several ns/event. The peek stays out of line in event_queue.cc.
 
 inline void EventQueue::Locate(uint64_t key, int* level, int* slot) const {
   assert(key >= cur_);
@@ -236,14 +196,14 @@ inline void EventQueue::Locate(uint64_t key, int* level, int* slot) const {
   *slot = static_cast<int>((key >> (l * kDigitBits)) & (kSlotsPerLevel - 1));
 }
 
-inline void EventQueue::Append(int level, int slot, Item item) const {
-  BucketAt(level, slot).items.push_back(item);
+inline void EventQueue::Append(int level, int slot, Item item) {
+  buckets_[level][slot].items.push_back(item);
   slot_masks_[level] |= 1ULL << slot;
   level_mask_ |= 1U << level;
 }
 
-inline void EventQueue::ClearBucket(int level, int slot) const {
-  Bucket& b = BucketAt(level, slot);
+inline void EventQueue::ClearBucket(int level, int slot) {
+  Bucket& b = buckets_[level][slot];
   b.items.clear();
   b.head = 0;
   slot_masks_[level] &= ~(1ULL << slot);
@@ -252,57 +212,17 @@ inline void EventQueue::ClearBucket(int level, int slot) const {
   }
 }
 
-inline bool EventQueue::CompactBucket(int level, int slot, Bucket& b) const {
-  if (level == 0) {
-    // Level-0 buckets drain FIFO through `head`; drop stale items there.
-    while (b.head < b.items.size() && !IsLive(b.items[b.head])) {
-      ++b.head;
-    }
-    if (b.head == b.items.size()) {
-      ClearBucket(level, slot);
-      return false;
-    }
-    return true;
-  }
-  // Higher-level buckets are compacted in place (stable, so schedule order —
-  // and with it equal-time FIFO — survives).
-  size_t keep = 0;
-  for (size_t i = 0; i < b.items.size(); ++i) {
-    if (IsLive(b.items[i])) {
-      if (keep != i) {
-        b.items[keep] = b.items[i];
-      }
-      ++keep;
-    }
-  }
-  if (keep == 0) {
-    ClearBucket(level, slot);
-    return false;
-  }
-  b.items.resize(keep);
-  return true;
-}
-
-inline EventQueue::Bucket* EventQueue::AdvanceToHead() {
+inline int EventQueue::AdvanceToHead() {
   while (level_mask_ != 0) {
     const int level = __builtin_ctz(level_mask_);
     const int slot = FirstSlot(level);
-    Bucket& b = BucketAt(level, slot);
     if (level == 0) {
-      if (!CompactBucket(level, slot, b)) {
-        continue;
-      }
-      return &b;
+      return slot;
     }
     // Cascade: advance the reference time to this bucket's earliest key and
     // re-file its items, which all land in levels below `level`. The loop over
     // items is stable, so equal-time items keep their schedule order.
-    //
-    // Stale (cancelled) items cascade along with live ones: filtering them
-    // here would cost a random slot-table read per item per cascade, whereas
-    // letting them fall to level 0 drops them with the same check level-0
-    // dispatch does anyway. A stale minimum only pulls cur_ lower than
-    // strictly needed, which the invariant (cur_ <= pending keys) permits.
+    Bucket& b = buckets_[level][slot];
     uint64_t min_key = b.items[0].key;
     for (const Item& it : b.items) {
       min_key = it.key < min_key ? it.key : min_key;
@@ -314,14 +234,14 @@ inline EventQueue::Bucket* EventQueue::AdvanceToHead() {
       assert(l < level);
       if (l == 0) {
         // This item dispatches within the next ~64 events; start pulling its
-        // slot line (generation + action) toward the cache now.
+        // slot line (the action) toward the cache now.
         __builtin_prefetch(&SlotAt(it.slot));
       }
       Append(l, s, it);
     }
     ClearBucket(level, slot);
   }
-  return nullptr;
+  return -1;
 }
 
 inline uint32_t EventQueue::AllocSlot() {
@@ -339,117 +259,55 @@ inline uint32_t EventQueue::AllocSlot() {
 }
 
 template <typename F, typename>
-EventId EventQueue::ScheduleAt(SimTime when, F&& action) {
+void EventQueue::ScheduleAt(SimTime when, F&& action) {
   assert(when >= now_ && "cannot schedule events in the simulated past");
   if (when < now_) {
     when = now_;
   }
-  const uint32_t handle_slot = AllocSlot();
-  Slot& rec = SlotAt(handle_slot);
+  const uint32_t action_slot = AllocSlot();
+  Slot& rec = SlotAt(action_slot);
   if constexpr (std::is_same_v<std::decay_t<F>, Action>) {
     rec.action = std::forward<F>(action);
   } else {
     rec.action.Emplace(std::forward<F>(action));
   }
-  const uint32_t gen = rec.gen;
   int level, slot;
   Locate(static_cast<uint64_t>(when), &level, &slot);
-  Append(level, slot, Item{static_cast<uint64_t>(when), handle_slot, gen});
-  ++live_count_;
-  return (static_cast<EventId>(gen) << 32) | handle_slot;
-}
-
-inline bool EventQueue::RunOne() {
-  Bucket* b = AdvanceToHead();
-  if (b == nullptr) {
-    return false;
-  }
-  const Item item = b->items[b->head];
-  ++b->head;
-  if (b->head < b->items.size()) {
-    // Hide the slot-table miss of the next dispatch behind this one's action.
-    __builtin_prefetch(&SlotAt(b->items[b->head].slot));
-  }
-  Slot& rec = SlotAt(item.slot);
-  // Bump the generation before dispatch so Cancel() on the running event's
-  // own handle reports false, but keep the slot out of the free list until
-  // the action returns: events it schedules must not reuse (and overwrite)
-  // the slot we are executing from. Slot chunks never move, so `rec` stays
-  // valid across those nested ScheduleAt() calls and the action can run in
-  // place — no move of the action body on the dispatch path.
-  ++rec.gen;
-  --live_count_;
-  assert(static_cast<SimTime>(item.key) >= now_);
-  now_ = static_cast<SimTime>(item.key);
-  ++executed_;
-  rec.action();
-  rec.action.Reset();
-  rec.next_free = free_head_;
-  free_head_ = item.slot;
-  return true;
-}
-
-inline uint64_t EventQueue::RunToCompletion(uint64_t max_events) {
-  // Drains level-0 buckets whole instead of calling RunOne() per event: a
-  // level-0 bucket holds a single exact time, so once AdvanceToHead() lands
-  // on one, every item in it (including same-time items the running actions
-  // append behind `head`) dispatches back-to-back without re-scanning the
-  // wheel masks. Items are re-indexed each pass because an action may grow
-  // the bucket's vector; the bucket object itself never moves.
-  uint64_t count = 0;
-  while (count < max_events) {
-    Bucket* b = AdvanceToHead();
-    if (b == nullptr) {
-      break;
-    }
-    assert(static_cast<SimTime>(b->items[b->head].key) >= now_);
-    now_ = static_cast<SimTime>(b->items[b->head].key);
-    while (b->head < b->items.size() && count < max_events) {
-      const Item item = b->items[b->head];
-      ++b->head;
-      if (b->head < b->items.size()) {
-        __builtin_prefetch(&SlotAt(b->items[b->head].slot));
-      }
-      Slot& rec = SlotAt(item.slot);
-      if (rec.gen != item.gen) {
-        continue;  // cancelled; drop the stale item
-      }
-      ++rec.gen;
-      --live_count_;
-      ++executed_;
-      rec.action();
-      rec.action.Reset();
-      rec.next_free = free_head_;
-      free_head_ = item.slot;
-      ++count;
-    }
-    // A fully drained bucket is cleared by the next AdvanceToHead() pass.
-  }
-  return count;
+  Append(level, slot, Item{static_cast<uint64_t>(when), action_slot});
 }
 
 template <typename Stop, typename>
 uint64_t EventQueue::RunWhile(Stop&& stop, uint64_t max_events) {
+  // Drains level-0 buckets whole: a level-0 bucket holds a single exact time,
+  // so once AdvanceToHead() lands on one, every item in it (including
+  // same-time items the running actions append) dispatches back-to-back
+  // without re-scanning the wheel masks. The bucket is cleared as soon as its
+  // last item is taken, before that item's action runs; same-time events the
+  // action schedules then refill it from index 0 and run in this same pass.
+  // Items are re-indexed each pass because an action may grow the bucket's
+  // vector; the bucket object itself never moves.
   uint64_t count = 0;
   while (count < max_events) {
-    Bucket* b = AdvanceToHead();
-    if (b == nullptr) {
+    const int slot = AdvanceToHead();
+    if (slot < 0) {
       break;
     }
-    assert(static_cast<SimTime>(b->items[b->head].key) >= now_);
-    now_ = static_cast<SimTime>(b->items[b->head].key);
-    while (b->head < b->items.size() && count < max_events) {
-      const Item item = b->items[b->head];
-      ++b->head;
-      if (b->head < b->items.size()) {
-        __builtin_prefetch(&SlotAt(b->items[b->head].slot));
+    Bucket& b = buckets_[0][slot];
+    assert(static_cast<SimTime>(b.items[b.head].key) >= now_);
+    now_ = static_cast<SimTime>(b.items[b.head].key);
+    while (b.head < b.items.size() && count < max_events) {
+      const Item item = b.items[b.head];
+      if (++b.head == b.items.size()) {
+        ClearBucket(0, slot);
+      } else {
+        // Hide the slot-table miss of the next dispatch behind this action.
+        __builtin_prefetch(&SlotAt(b.items[b.head].slot));
       }
+      // Slot chunks never move, so `rec` stays valid across the ScheduleAt()
+      // calls the action makes, and the action runs in place. The slot joins
+      // the free list only after the action returns, so those calls cannot
+      // reuse (and overwrite) the slot being executed.
       Slot& rec = SlotAt(item.slot);
-      if (rec.gen != item.gen) {
-        continue;  // cancelled; drop the stale item
-      }
-      ++rec.gen;
-      --live_count_;
       ++executed_;
       rec.action();
       rec.action.Reset();

@@ -1,10 +1,9 @@
 // Sharded (NUMA-style) pool of free physical frames.
 //
 // The physical frame range is partitioned contiguously into up to 64 nodes;
-// each node owns an independent free list with the exact semantics of
-// FreeList (head pops for allocation, head pushes for daemon steals, tail
-// pushes for releases so too-early releases can be rescued, O(1) mid-list
-// removal for rescue). All nodes share ONE pair of prev_/next_ link arrays —
+// each node owns an independent free list (head pops for allocation, head
+// pushes for daemon steals, tail pushes for releases so too-early releases
+// can be rescued, O(1) mid-list removal for rescue; Section 3.1.2). All nodes share ONE pair of prev_/next_ link arrays —
 // a frame is on at most one node's list, namely the node that owns its frame
 // range — so the footprint is 2*sizeof(FrameId) bytes/frame regardless of
 // node count, and membership (Contains) stays one load against the sentinel.
@@ -24,9 +23,9 @@
 // occupancy mask rotated so the home node is bit 0, then countr_zero. This
 // is why num_nodes is capped at 64.
 //
-// With num_nodes == 1 every operation degenerates to exactly the single
-// FreeList behavior (one anchor, same link discipline), so golden outputs
-// and fuzz digests of 1-node configurations are unchanged by construction.
+// With num_nodes == 1 every operation degenerates to the paper's single free
+// list (one anchor, one link discipline), so golden outputs and fuzz digests
+// of 1-node configurations do not depend on the sharding.
 
 #ifndef TMH_SRC_VM_FRAME_POOL_H_
 #define TMH_SRC_VM_FRAME_POOL_H_
@@ -176,7 +175,6 @@ class FramePool {
   }
 
   // All nodes concatenated in node order (node 0 head..tail, node 1, ...).
-  // With one node this is exactly FreeList::ToVector().
   [[nodiscard]] std::vector<FrameId> ToVector() const {
     std::vector<FrameId> out;
     out.reserve(static_cast<size_t>(size_));

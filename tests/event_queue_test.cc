@@ -10,8 +10,8 @@ namespace {
 TEST(EventQueueTest, StartsAtTimeZero) {
   EventQueue q;
   EXPECT_EQ(q.Now(), 0);
-  EXPECT_TRUE(q.Empty());
-  EXPECT_EQ(q.PendingCount(), 0u);
+  EXPECT_EQ(q.NextEventTime(-1), -1);
+  EXPECT_EQ(q.ExecutedCount(), 0u);
 }
 
 TEST(EventQueueTest, RunsEventsInTimeOrder) {
@@ -49,111 +49,8 @@ TEST(EventQueueTest, NowAdvancesOnlyWhenEventsRun) {
   EventQueue q;
   q.ScheduleAt(42, [] {});
   EXPECT_EQ(q.Now(), 0);
-  q.RunOne();
+  EXPECT_EQ(q.RunWhile([] { return true; }), 1u);
   EXPECT_EQ(q.Now(), 42);
-}
-
-TEST(EventQueueTest, CancelPreventsExecution) {
-  EventQueue q;
-  bool ran = false;
-  const EventId id = q.ScheduleAt(10, [&] { ran = true; });
-  EXPECT_TRUE(q.Cancel(id));
-  q.RunToCompletion();
-  EXPECT_FALSE(ran);
-  EXPECT_EQ(q.PendingCount(), 0u);
-}
-
-TEST(EventQueueTest, DoubleCancelReturnsFalse) {
-  EventQueue q;
-  const EventId id = q.ScheduleAt(10, [] {});
-  EXPECT_TRUE(q.Cancel(id));
-  EXPECT_FALSE(q.Cancel(id));
-}
-
-TEST(EventQueueTest, CancelInvalidIdReturnsFalse) {
-  EventQueue q;
-  EXPECT_FALSE(q.Cancel(kInvalidEventId));
-  EXPECT_FALSE(q.Cancel(999));
-}
-
-TEST(EventQueueTest, CancelAfterRunReturnsFalse) {
-  EventQueue q;
-  const EventId id = q.ScheduleAt(10, [] {});
-  q.RunToCompletion();
-  EXPECT_FALSE(q.Cancel(id));
-}
-
-TEST(EventQueueTest, CancelOwnEventDuringDispatchReturnsFalse) {
-  // By the time a handler runs, its event has been retired (the generation
-  // stamp advances before the callable is invoked), so self-cancel is a no-op.
-  EventQueue q;
-  EventId id = kInvalidEventId;
-  bool self_cancel_result = true;
-  id = q.ScheduleAt(10, [&] { self_cancel_result = q.Cancel(id); });
-  q.RunToCompletion();
-  EXPECT_FALSE(self_cancel_result);
-  EXPECT_EQ(q.ExecutedCount(), 1u);
-}
-
-TEST(EventQueueTest, CancelPendingEventDuringDispatch) {
-  // A handler cancelling a later event at the same timestamp must win: the
-  // victim is already in the dispatch bucket but has not run yet.
-  EventQueue q;
-  bool victim_ran = false;
-  EventId victim = kInvalidEventId;
-  bool cancel_result = false;
-  q.ScheduleAt(10, [&] { cancel_result = q.Cancel(victim); });
-  victim = q.ScheduleAt(10, [&] { victim_ran = true; });
-  q.RunToCompletion();
-  EXPECT_TRUE(cancel_result);
-  EXPECT_FALSE(victim_ran);
-  EXPECT_EQ(q.ExecutedCount(), 1u);
-}
-
-TEST(EventQueueTest, SlotReuseInvalidatesOldIds) {
-  // After an event runs, its slot is recycled for new events; the stale
-  // EventId must not cancel the slot's new occupant.
-  EventQueue q;
-  const EventId old_id = q.ScheduleAt(5, [] {});
-  q.RunToCompletion();
-  bool ran = false;
-  const EventId new_id = q.ScheduleAt(10, [&] { ran = true; });
-  EXPECT_FALSE(q.Cancel(old_id));  // stale generation
-  q.RunToCompletion();
-  EXPECT_TRUE(ran);
-  EXPECT_FALSE(q.Cancel(new_id));  // already ran
-}
-
-TEST(EventQueueTest, FifoPreservedAcrossCancelsAtSameTime) {
-  EventQueue q;
-  std::vector<int> order;
-  std::vector<EventId> ids;
-  for (int i = 0; i < 10; ++i) {
-    ids.push_back(q.ScheduleAt(5, [&order, i] { order.push_back(i); }));
-  }
-  for (int i = 0; i < 10; i += 2) {
-    EXPECT_TRUE(q.Cancel(ids[static_cast<size_t>(i)]));
-  }
-  q.RunToCompletion();
-  EXPECT_EQ(order, (std::vector<int>{1, 3, 5, 7, 9}));
-}
-
-TEST(EventQueueTest, RunUntilStopsAtDeadline) {
-  EventQueue q;
-  std::vector<int> order;
-  q.ScheduleAt(10, [&] { order.push_back(1); });
-  q.ScheduleAt(20, [&] { order.push_back(2); });
-  q.ScheduleAt(30, [&] { order.push_back(3); });
-  EXPECT_EQ(q.RunUntil(20), 2u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.Now(), 20);
-  EXPECT_EQ(q.PendingCount(), 1u);
-}
-
-TEST(EventQueueTest, RunUntilAdvancesClockPastEmptyStretch) {
-  EventQueue q;
-  q.RunUntil(500);
-  EXPECT_EQ(q.Now(), 500);
 }
 
 TEST(EventQueueTest, EventsCanScheduleMoreEvents) {
@@ -180,11 +77,60 @@ TEST(EventQueueTest, RunToCompletionHonorsEventCap) {
 TEST(EventQueueTest, NextEventTimeReportsEarliestPending) {
   EventQueue q;
   EXPECT_EQ(q.NextEventTime(777), 777);
+  q.ScheduleAt(5000, [] {});
   q.ScheduleAt(50, [] {});
-  const EventId early = q.ScheduleAt(25, [] {});
+  q.ScheduleAt(25, [] {});
   EXPECT_EQ(q.NextEventTime(0), 25);
-  q.Cancel(early);
+  q.RunWhile([] { return true; });
   EXPECT_EQ(q.NextEventTime(0), 50);
+  q.RunWhile([] { return true; });
+  EXPECT_EQ(q.NextEventTime(0), 5000);
+  q.RunWhile([] { return true; });
+  EXPECT_EQ(q.NextEventTime(0), 0);
+}
+
+TEST(EventQueueTest, NextEventTimeFromInsideAnAction) {
+  // Kernel::TryDispatch peeks from inside the running action to decide
+  // whether a woken thread may run inline: the running event must not count
+  // as pending, while same-time events behind it or posted by it must.
+  for (const SimTime later : {SimTime{20}, SimTime{5000}}) {
+    EventQueue q;
+    SimTime seen = 0;
+    q.ScheduleAt(10, [&] { seen = q.NextEventTime(-1); });
+    q.ScheduleAt(later, [] {});
+    q.RunToCompletion();
+    EXPECT_EQ(seen, later);
+  }
+  {
+    EventQueue q;
+    SimTime seen = 0;
+    q.ScheduleAt(10, [&] { seen = q.NextEventTime(-1); });
+    q.RunToCompletion();
+    EXPECT_EQ(seen, -1);
+  }
+  {
+    EventQueue q;
+    SimTime seen = 0;
+    q.ScheduleAt(10, [&] { seen = q.NextEventTime(-1); });
+    q.ScheduleAt(10, [] {});
+    q.ScheduleAt(20, [] {});
+    q.RunToCompletion();
+    EXPECT_EQ(seen, 10);
+  }
+  {
+    EventQueue q;
+    std::vector<int> order;
+    SimTime seen = 0;
+    q.ScheduleAt(10, [&] {
+      order.push_back(1);
+      q.ScheduleAt(10, [&] { order.push_back(2); });
+      seen = q.NextEventTime(-1);
+    });
+    q.ScheduleAt(20, [&] { order.push_back(3); });
+    q.RunToCompletion();
+    EXPECT_EQ(seen, 10);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  }
 }
 
 TEST(EventQueueTest, ExecutedCountTracksEvents) {

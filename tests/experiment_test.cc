@@ -112,7 +112,7 @@ TEST(ExperimentTest, ReleasedPagesGoToFreeListTailAndGetRescued) {
   const ExperimentResult result = RunExperiment(spec);
   ASSERT_TRUE(result.completed);
   EXPECT_GT(result.kernel.releaser_pages_freed, 0u);
-  EXPECT_GT(result.free_list_rescues, 0u);
+  EXPECT_GT(result.kernel.rescued_daemon_freed + result.kernel.rescued_release_freed, 0u);
 }
 
 TEST(ExperimentTest, VersionOHasNoRuntimeLayer) {

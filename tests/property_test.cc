@@ -509,55 +509,51 @@ INSTANTIATE_TEST_SUITE_P(AllBenchmarks, DataIntegrityTest, ::testing::Range(0, 6
 
 // --- Event queue: ordering and determinism under random churn -------------------
 
-// The executed order of randomly-timed, randomly-cancelled events must equal a
-// stable sort of the survivors by timestamp (stable = FIFO within a tick).
+// The executed order of randomly-timed events, including the same-time and
+// later ones that running actions post, must equal a stable sort of every
+// posted event by timestamp (stable = FIFO within a tick).
 class EventQueueOrderingTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EventQueueOrderingTest, MatchesStableSortReference) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 7919 + 17);
   EventQueue q;
-  struct Scheduled {
-    SimTime when;
-    int seq;
-    EventId id;
-    bool cancelled = false;
-  };
-  std::vector<Scheduled> events;
+  std::vector<SimTime> posted;  // each event's time, in posting order
   std::vector<int> executed;
-  const int n = 300;
-  for (int i = 0; i < n; ++i) {
+  std::function<void(SimTime)> post = [&](SimTime when) {
+    const int seq = static_cast<int>(posted.size());
+    posted.push_back(when);
+    q.ScheduleAt(when, [&, seq] {
+      executed.push_back(seq);
+      // Same-time children refill the running bucket; later ones land on
+      // higher wheel levels and cascade back down.
+      static constexpr SimDuration kDelays[] = {0, 0, 1, 70, 5000};
+      if (posted.size() < 600 && rng.NextBelow(3) == 0) {
+        post(q.Now() + kDelays[rng.NextBelow(5)]);
+      }
+    });
+  };
+  for (int i = 0; i < 300; ++i) {
     // Narrow time range → many collisions → the FIFO path is exercised hard.
-    const SimTime when = static_cast<SimTime>(rng.NextBelow(64));
-    const EventId id = q.ScheduleAt(when, [&executed, i] { executed.push_back(i); });
-    events.push_back({when, i, id});
-  }
-  for (Scheduled& e : events) {
-    if (rng.NextBelow(3) == 0) {
-      EXPECT_TRUE(q.Cancel(e.id));
-      e.cancelled = true;
-    }
+    post(static_cast<SimTime>(rng.NextBelow(64)));
   }
   q.RunToCompletion();
 
-  std::vector<Scheduled> survivors;
-  for (const Scheduled& e : events) {
-    if (!e.cancelled) {
-      survivors.push_back(e);
-    }
-  }
-  std::stable_sort(survivors.begin(), survivors.end(),
-                   [](const Scheduled& a, const Scheduled& b) { return a.when < b.when; });
-  ASSERT_EQ(executed.size(), survivors.size());
-  for (size_t i = 0; i < survivors.size(); ++i) {
-    EXPECT_EQ(executed[i], survivors[i].seq) << "position " << i;
+  std::vector<int> reference(posted.size());
+  std::iota(reference.begin(), reference.end(), 0);
+  std::stable_sort(reference.begin(), reference.end(),
+                   [&posted](int a, int b) { return posted[a] < posted[b]; });
+  ASSERT_EQ(executed.size(), reference.size());
+  for (size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(executed[i], reference[i]) << "position " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueOrderingTest, ::testing::Range(0, 8));
 
-// Handlers that schedule and cancel more work mid-run must yield the identical
-// execution trace on a re-run with the same seed (the simulator's determinism
-// rests on this).
+// Handlers that schedule more work and withdraw some of it mid-run must yield
+// the identical execution trace on a re-run with the same seed (the
+// simulator's determinism rests on this). The queue has no cancellation, so a
+// withdrawn event still fires and finds its tag withdrawn.
 class EventQueueChurnTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(EventQueueChurnTest, DeterministicUnderScheduleCancelChurn) {
@@ -565,9 +561,12 @@ TEST_P(EventQueueChurnTest, DeterministicUnderScheduleCancelChurn) {
     Rng rng(static_cast<uint64_t>(seed) * 104729 + 5);
     EventQueue q;
     std::vector<std::pair<SimTime, int>> trace;
-    std::vector<EventId> pending;
-    int next_tag = 0;
+    std::vector<int> pending;
+    std::vector<bool> withdrawn(1, false);  // by tag; tags start at 1
     std::function<void(int)> handler = [&](int tag) {
+      if (withdrawn[static_cast<size_t>(tag)]) {
+        return;
+      }
       trace.emplace_back(q.Now(), tag);
       if (trace.size() > 2000) {
         return;  // bound the run
@@ -575,19 +574,22 @@ TEST_P(EventQueueChurnTest, DeterministicUnderScheduleCancelChurn) {
       const uint64_t roll = rng.NextBelow(10);
       if (roll < 6) {
         const SimTime delta = static_cast<SimTime>(rng.NextBelow(20));
-        const int t = ++next_tag;
-        pending.push_back(q.ScheduleAfter(delta, [&handler, t] { handler(t); }));
+        const int t = static_cast<int>(withdrawn.size());
+        withdrawn.push_back(false);
+        q.ScheduleAfter(delta, [&handler, t] { handler(t); });
+        pending.push_back(t);
       }
       if (roll >= 4 && !pending.empty()) {
         const size_t victim = rng.NextBelow(pending.size());
-        q.Cancel(pending[victim]);  // may be stale: Cancel must cope either way
+        withdrawn[static_cast<size_t>(pending[victim])] = true;  // may have run already
         pending.erase(pending.begin() + static_cast<ptrdiff_t>(victim));
       }
     };
     for (int i = 0; i < 50; ++i) {
-      const int t = ++next_tag;
-      pending.push_back(
-          q.ScheduleAt(static_cast<SimTime>(rng.NextBelow(30)), [&handler, t] { handler(t); }));
+      const int t = static_cast<int>(withdrawn.size());
+      withdrawn.push_back(false);
+      q.ScheduleAt(static_cast<SimTime>(rng.NextBelow(30)), [&handler, t] { handler(t); });
+      pending.push_back(t);
     }
     q.RunToCompletion(10000);
     return trace;

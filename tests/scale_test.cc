@@ -3,7 +3,7 @@
 // memory footprint at 10^7 frames.
 //
 // The unit tests pin the FramePool's contract (contiguous partition, wrap-
-// order fallback, FreeList-identical single-node behavior); the kernel tests
+// order fallback; vm_test pins the single-node list order); the kernel tests
 // drive the same paths through real faults; the scale tests construct the
 // full 10^7-frame machine and hold footprint and per-op cost to their
 // documented bounds — generous wall-clock ceilings that an O(frames) scan on
@@ -20,7 +20,6 @@
 #include "src/check/fuzz_scenario.h"
 #include "src/core/experiment.h"
 #include "src/vm/frame_pool.h"
-#include "src/vm/free_list.h"
 #include "src/workloads/workloads.h"
 #include "tests/testutil.h"
 
@@ -52,37 +51,6 @@ TEST(FramePoolTest, NodeCountClamped) {
   EXPECT_EQ(FramePool(100, 0).num_nodes(), 1);
   EXPECT_EQ(FramePool(100, -3).num_nodes(), 1);
   EXPECT_EQ(FramePool(100, 1000).num_nodes(), FramePool::kMaxNodes);
-}
-
-TEST(FramePoolTest, SingleNodeMatchesFreeListExactly) {
-  const int64_t frames = 32;
-  FreeList flat(frames);
-  FramePool pool(frames, 1);
-  for (FrameId f = 0; f < frames; ++f) {
-    flat.PushTail(f);
-    pool.PushTail(f);
-  }
-  // Interleave pops, head pushes, tail pushes, and a mid-list rescue; the
-  // orders must stay byte-identical throughout.
-  for (int round = 0; round < 3; ++round) {
-    const FrameId a = flat.PopHead();
-    EXPECT_EQ(pool.PopHead(0), a);
-    const FrameId b = flat.PopHead();
-    EXPECT_EQ(pool.PopHead(0), b);
-    flat.PushHead(a);
-    pool.PushHead(a);
-    flat.PushTail(b);
-    pool.PushTail(b);
-    const FrameId victim = static_cast<FrameId>(7 + round);
-    if (flat.Contains(victim)) {
-      flat.Remove(victim);
-      ASSERT_TRUE(pool.Contains(victim));
-      pool.Remove(victim);
-      flat.PushTail(victim);
-      pool.PushTail(victim);
-    }
-    EXPECT_EQ(pool.ToVector(), flat.ToVector());
-  }
 }
 
 TEST(FramePoolTest, PopPrefersHomeThenWrapsAscending) {

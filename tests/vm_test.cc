@@ -1,5 +1,5 @@
-// Tests for the physical-memory structures: free list (with rescue), frame
-// table, page table, and residency bitmap.
+// Tests for the physical-memory structures: the free list (a one-node
+// FramePool, with rescue), frame table, page table, and residency bitmap.
 
 #include <gtest/gtest.h>
 
@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "src/sim/rng.h"
+#include "src/vm/frame_pool.h"
 #include "src/vm/frame_table.h"
-#include "src/vm/free_list.h"
 #include "src/vm/page_table.h"
 #include "src/vm/residency_bitmap.h"
 
@@ -16,77 +16,77 @@ namespace tmh {
 namespace {
 
 TEST(FreeListTest, PopFromEmptyReturnsNoFrame) {
-  FreeList list(8);
+  FramePool list(8, 1);
   EXPECT_TRUE(list.empty());
-  EXPECT_EQ(list.PopHead(), kNoFrame);
+  EXPECT_EQ(list.PopHead(0), kNoFrame);
 }
 
 TEST(FreeListTest, HeadPushesPopInLifoOrder) {
-  FreeList list(8);
+  FramePool list(8, 1);
   list.PushHead(1);
   list.PushHead(2);
   list.PushHead(3);
-  EXPECT_EQ(list.PopHead(), 3);
-  EXPECT_EQ(list.PopHead(), 2);
-  EXPECT_EQ(list.PopHead(), 1);
+  EXPECT_EQ(list.PopHead(0), 3);
+  EXPECT_EQ(list.PopHead(0), 2);
+  EXPECT_EQ(list.PopHead(0), 1);
 }
 
 TEST(FreeListTest, TailPushesPopInFifoOrder) {
-  FreeList list(8);
+  FramePool list(8, 1);
   list.PushTail(1);
   list.PushTail(2);
   list.PushTail(3);
-  EXPECT_EQ(list.PopHead(), 1);
-  EXPECT_EQ(list.PopHead(), 2);
-  EXPECT_EQ(list.PopHead(), 3);
+  EXPECT_EQ(list.PopHead(0), 1);
+  EXPECT_EQ(list.PopHead(0), 2);
+  EXPECT_EQ(list.PopHead(0), 3);
 }
 
 TEST(FreeListTest, TailInsertMaximizesRescueWindow) {
   // A released page (tail) outlives a daemon-stolen page (head) on the list.
-  FreeList list(8);
+  FramePool list(8, 1);
   list.PushHead(0);  // stolen
   list.PushTail(1);  // released
-  EXPECT_EQ(list.PopHead(), 0);  // the stolen page is reallocated first
+  EXPECT_EQ(list.PopHead(0), 0);  // the stolen page is reallocated first
   EXPECT_TRUE(list.Contains(1));
 }
 
 TEST(FreeListTest, RemoveFromMiddle) {
-  FreeList list(8);
+  FramePool list(8, 1);
   list.PushTail(1);
   list.PushTail(2);
   list.PushTail(3);
   list.Remove(2);
   EXPECT_FALSE(list.Contains(2));
   EXPECT_EQ(list.size(), 2);
-  EXPECT_EQ(list.PopHead(), 1);
-  EXPECT_EQ(list.PopHead(), 3);
+  EXPECT_EQ(list.PopHead(0), 1);
+  EXPECT_EQ(list.PopHead(0), 3);
 }
 
 TEST(FreeListTest, RemoveHeadAndTail) {
-  FreeList list(8);
+  FramePool list(8, 1);
   list.PushTail(1);
   list.PushTail(2);
   list.PushTail(3);
   list.Remove(1);
   list.Remove(3);
   EXPECT_EQ(list.size(), 1);
-  EXPECT_EQ(list.PopHead(), 2);
+  EXPECT_EQ(list.PopHead(0), 2);
   EXPECT_TRUE(list.empty());
 }
 
 TEST(FreeListTest, ContainsReflectsMembership) {
-  FreeList list(8);
+  FramePool list(8, 1);
   EXPECT_FALSE(list.Contains(3));
   list.PushTail(3);
   EXPECT_TRUE(list.Contains(3));
-  list.PopHead();
+  list.PopHead(0);
   EXPECT_FALSE(list.Contains(3));
   EXPECT_FALSE(list.Contains(-1));
   EXPECT_FALSE(list.Contains(100));
 }
 
 TEST(FreeListTest, CountersTrackOperations) {
-  FreeList list(8);
+  FramePool list(8, 1);
   list.PushHead(0);
   list.PushTail(1);
   list.PushTail(2);
@@ -97,12 +97,12 @@ TEST(FreeListTest, CountersTrackOperations) {
 }
 
 // Property sweep: random push/pop/remove sequences keep the intrusive list
-// consistent with a reference model.
+// equal, element for element, to a reference deque.
 class FreeListPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FreeListPropertyTest, MatchesReferenceModel) {
   const int kFrames = 32;
-  FreeList list(kFrames);
+  FramePool list(kFrames, 1);
   std::vector<FrameId> model;  // front = head
   Rng rng(GetParam());
   std::vector<bool> linked(kFrames, false);
@@ -126,7 +126,7 @@ TEST_P(FreeListPropertyTest, MatchesReferenceModel) {
         }
         break;
       case 2: {
-        const FrameId got = list.PopHead();
+        const FrameId got = list.PopHead(0);
         if (model.empty()) {
           ASSERT_EQ(got, kNoFrame);
         } else {
@@ -145,6 +145,7 @@ TEST_P(FreeListPropertyTest, MatchesReferenceModel) {
         break;
     }
     ASSERT_EQ(list.size(), static_cast<int64_t>(model.size()));
+    ASSERT_EQ(list.ToVector(), model);
     for (FrameId i = 0; i < kFrames; ++i) {
       ASSERT_EQ(list.Contains(i), linked[static_cast<size_t>(i)]);
     }

@@ -23,10 +23,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 #include "src/check/fuzz_scenario.h"
 #include "src/check/invariants.h"
+#include "src/core/cli_args.h"
 
 namespace {
 
@@ -74,23 +76,28 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       }
       return argv[++i];
     };
+    // The flag's value as an integer in [lo, hi]; anything else exits 2.
+    auto integer = [&](long lo, long hi) {
+      return tmh::IntegerArg(arg.c_str(), next(arg.c_str()), lo, hi);
+    };
+    constexpr long kMax = std::numeric_limits<long>::max();
     if (arg == "--help" || arg == "-h") {
       PrintUsage();
       std::exit(0);
     } else if (arg == "--seed") {
-      flags->seed = std::strtoull(next("--seed"), nullptr, 10);
+      flags->seed = static_cast<uint64_t>(integer(1, kMax));
     } else if (arg == "--runs") {
-      flags->runs = std::strtoull(next("--runs"), nullptr, 10);
+      flags->runs = static_cast<uint64_t>(integer(1, kMax));
     } else if (arg == "--start") {
-      flags->start = std::strtoull(next("--start"), nullptr, 10);
+      flags->start = static_cast<uint64_t>(integer(0, kMax));
     } else if (arg == "--max-apps") {
-      flags->max_apps = std::atoi(next("--max-apps"));
+      flags->max_apps = static_cast<int>(integer(1, std::numeric_limits<int>::max()));
     } else if (arg == "--max-events") {
-      flags->max_events = std::strtoull(next("--max-events"), nullptr, 10);
+      flags->max_events = static_cast<uint64_t>(integer(1, kMax));
     } else if (arg == "--check-period") {
-      flags->check_period = std::strtoull(next("--check-period"), nullptr, 10);
+      flags->check_period = static_cast<uint64_t>(integer(1, kMax));
     } else if (arg == "--inject") {
-      flags->inject_after = std::strtoull(next("--inject"), nullptr, 10);
+      flags->inject_after = static_cast<uint64_t>(integer(1, kMax));
     } else if (arg == "--expect-fail") {
       flags->expect_fail = true;
     } else if (arg == "--verify-determinism") {

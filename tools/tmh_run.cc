@@ -16,9 +16,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "src/core/cli_args.h"
 #include "src/core/experiment.h"
 #include "src/core/html_report.h"
 #include "src/core/report.h"
@@ -126,7 +128,13 @@ std::vector<std::string> SplitList(const std::string& s) {
   }
 }
 
+// Bounds of the numeric flags: what the simulated machine's types can hold.
+// Frame ids are 32-bit, and times must convert to nanoseconds without overflow.
+constexpr long kMaxFrames = std::numeric_limits<tmh::FrameId>::max();
+constexpr double kMaxSeconds = 1e9;
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
+  const long frames_per_mb = (1 << 20) / tmh::MachineConfig{}.page_size_bytes;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -135,6 +143,14 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
         std::exit(2);
       }
       return argv[++i];
+    };
+    // The flag's value as an integer in [lo, hi] or a number in [lo, hi]
+    // ((lo, hi] when `exclude_lo`); anything else exits 2.
+    auto integer = [&](long lo, long hi) {
+      return tmh::IntegerArg(arg.c_str(), next(arg.c_str()), lo, hi);
+    };
+    auto number = [&](double lo, double hi, bool exclude_lo) {
+      return tmh::NumberArg(arg.c_str(), next(arg.c_str()), lo, hi, exclude_lo);
     };
     if (arg == "--help" || arg == "-h") {
       PrintUsage();
@@ -147,44 +163,31 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--version") {
       flags->version = next("--version");
     } else if (arg == "--scale") {
-      flags->scale = std::atof(next("--scale"));
+      flags->scale = number(0.0, 1.0, /*exclude_lo=*/true);
     } else if (arg == "--memory-mb") {
-      flags->memory_mb = std::atoll(next("--memory-mb"));
+      flags->memory_mb = integer(1, kMaxFrames / frames_per_mb);
     } else if (arg == "--nodes") {
-      flags->num_nodes = std::atoi(next("--nodes"));
-      if (flags->num_nodes < 1 || flags->num_nodes > 64) {
-        std::fprintf(stderr, "--nodes must be in [1, 64]\n");
-        std::exit(2);
-      }
+      flags->num_nodes = static_cast<int>(integer(1, tmh::FramePool::kMaxNodes));
     } else if (arg == "--tiers") {
       for (const std::string& part : SplitList(next("--tiers"))) {
-        const int64_t frames = std::atoll(part.c_str());
-        if (frames < 1) {
-          std::fprintf(stderr, "--tiers wants positive frame counts\n");
-          std::exit(2);
-        }
-        flags->tiers.push_back(frames);
+        flags->tiers.push_back(tmh::IntegerArg("--tiers", part.c_str(), 1, kMaxFrames));
       }
     } else if (arg == "--interactive") {
       flags->interactive = true;
     } else if (arg == "--sleep") {
-      flags->sleep_s = std::atof(next("--sleep"));
+      flags->sleep_s = number(0.0, kMaxSeconds, /*exclude_lo=*/false);
     } else if (arg == "--adaptive") {
       flags->adaptive = true;
     } else if (arg == "--oracle") {
       flags->oracle = true;
     } else if (arg == "--local-partition") {
-      flags->local_partition = std::atoll(next("--local-partition"));
+      flags->local_partition = integer(0, std::numeric_limits<long>::max());
     } else if (arg == "--batch") {
-      flags->release_batch = std::atoi(next("--batch"));
+      flags->release_batch = static_cast<int>(integer(1, std::numeric_limits<int>::max()));
     } else if (arg == "--threads") {
-      flags->prefetch_threads = std::atoi(next("--threads"));
+      flags->prefetch_threads = static_cast<int>(integer(1, std::numeric_limits<int>::max()));
     } else if (arg == "--jobs") {
-      flags->jobs = std::atoi(next("--jobs"));
-      if (flags->jobs < 0) {
-        std::fprintf(stderr, "--jobs must be >= 0\n");
-        std::exit(2);
-      }
+      flags->jobs = static_cast<int>(integer(0, std::numeric_limits<int>::max()));
     } else if (arg == "--drain-mru") {
       flags->drain_newest_first = true;
     } else if (arg == "--checks") {
@@ -196,11 +199,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->monitor_protect = true;
     } else if (arg == "--monitor-period") {
       flags->monitor = true;
-      flags->monitor_period_ms = std::atof(next("--monitor-period"));
-      if (flags->monitor_period_ms <= 0) {
-        std::fprintf(stderr, "--monitor-period must be > 0\n");
-        std::exit(2);
-      }
+      flags->monitor_period_ms = number(0.0, kMaxSeconds * 1e3, /*exclude_lo=*/true);
     } else if (arg == "--json") {
       flags->json = true;
     } else if (arg == "--trace") {
@@ -212,7 +211,7 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--html") {
       flags->html_path = next("--html");
     } else if (arg == "--trace-period") {
-      flags->trace_period_s = std::atof(next("--trace-period"));
+      flags->trace_period_s = number(0.0, kMaxSeconds, /*exclude_lo=*/true);
     } else {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", arg.c_str());
       return false;
