@@ -259,7 +259,7 @@ bool EmitAndCheck(const ScaleParams& p, const char* out_path, bool smoke) {
     Kernel kernel(machine);
     construct_wall = NowSeconds() - start;
     const int64_t bytes = kernel.frames().MemoryFootprintBytes() +
-                          kernel.free_list().MemoryFootprintBytes();
+                          kernel.frame_pool().MemoryFootprintBytes();
     bytes_per_frame = static_cast<double>(bytes) / static_cast<double>(p.frames);
     if (bytes_per_frame > kBytesPerFrameBound) {
       std::fprintf(stderr,

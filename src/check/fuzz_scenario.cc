@@ -47,7 +47,7 @@ Scenario MakeScenario(uint64_t seed, const ScenarioOptions& options) {
     s.daemon_period = rng.NextInRange(20, 80) * kMsec;
   }
   s.release_to_tail = rng.NextBelow(3) != 0;
-  s.with_interactive = options.allow_interactive && rng.NextBelow(2) == 0;
+  s.with_interactive = rng.NextBelow(2) == 0;
   s.interactive_sleep = rng.NextInRange(1, 4) * kSec;
 
   const int num_apps =

@@ -24,7 +24,6 @@ namespace tmh {
 
 struct ScenarioOptions {
   int max_apps = 3;
-  bool allow_interactive = true;
   // Simulation event budget per scenario (keeps one fuzz iteration short).
   uint64_t max_events = 40'000'000;
   // Structural pass cadence handed to the checker (1 = every event).

@@ -14,9 +14,6 @@ namespace tmh {
 
 InvariantChecker::InvariantChecker(Kernel& kernel, CheckOptions options)
     : kernel_(&kernel), options_(options) {
-  if (options_.tail > 0) {
-    tail_.resize(options_.tail);
-  }
   if (options_.full_check_period == 0) {
     options_.full_check_period = 1;
   }
@@ -30,14 +27,12 @@ void InvariantChecker::OnVmEvent(const VmHookEvent& event) {
   if (!IsVmTransition(event.op)) {
     return;  // timing edges for the recorder: no state to replay or check
   }
-  if (!tail_.empty()) {
-    tail_[tail_next_] = event;
-    tail_next_ = (tail_next_ + 1) % tail_.size();
-    tail_wrapped_ = tail_wrapped_ || tail_next_ == 0;
-  }
+  tail_[tail_next_] = event;
+  tail_next_ = (tail_next_ + 1) % kTailEvents;
+  tail_wrapped_ = tail_wrapped_ || tail_next_ == 0;
   ++events_seen_;
   ++mutations_since_check_;
-  if (!failure_.empty() || !options_.with_oracle) {
+  if (!failure_.empty()) {
     return;
   }
   oracle_.Apply(event);
@@ -105,15 +100,15 @@ void InvariantChecker::Fail(SimTime now, const std::string& invariant,
 }
 
 std::string InvariantChecker::TailDump() const {
-  if (tail_.empty() || (!tail_wrapped_ && tail_next_ == 0)) {
+  if (!tail_wrapped_ && tail_next_ == 0) {
     return "";
   }
   std::ostringstream os;
   os << "\n  recent VM events (oldest first):";
-  const size_t count = tail_wrapped_ ? tail_.size() : tail_next_;
+  const size_t count = tail_wrapped_ ? kTailEvents : tail_next_;
   const size_t start = tail_wrapped_ ? tail_next_ : 0;
   for (size_t i = 0; i < count; ++i) {
-    const VmHookEvent& e = tail_[(start + i) % tail_.size()];
+    const VmHookEvent& e = tail_[(start + i) % kTailEvents];
     os << "\n    t=" << e.when << " " << VmHookOpName(e.op) << " as=" << e.as
        << " vpage=" << e.vpage << " frame=" << e.frame << " a=" << e.a << " b=" << e.b;
   }
@@ -147,13 +142,12 @@ void InvariantChecker::BuildReleaseQueue(Kernel& kernel) {
 void InvariantChecker::Validate(Kernel& kernel) {
   const SimTime now = kernel.Now();
   const FrameTable& frames = kernel.frames();
-  const FramePool& pool = kernel.free_list();
+  const FramePool& pool = kernel.frame_pool();
   const int64_t num_frames = frames.size();
   const uint64_t* mapped = frames.mapped_words();
   const uint64_t* io_busy = frames.io_busy_words();
   const uint64_t* dirty = frames.dirty_words();
   const size_t num_words = frames.num_words();
-  const bool with_oracle = options_.with_oracle;
   std::string oracle_free;      // first node whose order differs from the model
   std::string oracle_resident;  // first address space whose residency differs
   std::string oracle_dirty;     // first frame whose dirty bit differs
@@ -164,7 +158,7 @@ void InvariantChecker::Validate(Kernel& kernel) {
   // a free frame in use, a frame outside its node's range, a node's count)
   // are held until it ends and then reported in that order.
   on_free_.assign(num_words, 0);
-  const bool compare_free = with_oracle && oracle_.num_nodes() == pool.num_nodes();
+  const bool compare_free = oracle_.num_nodes() == pool.num_nodes();
   int64_t walked_total = 0;
   FrameId unclean = kNoFrame;  // first free frame, in list order, in use
   std::string node_failure;
@@ -282,7 +276,7 @@ void InvariantChecker::Validate(Kernel& kernel) {
         return;
       }
     }
-    if (with_oracle && oracle_dirty.empty()) {
+    if (oracle_dirty.empty()) {
       uint64_t model_bits = 0;
       for (; model_dirty_it != model_dirty.end() && *model_dirty_it - base < 64;
            ++model_dirty_it) {
@@ -318,7 +312,7 @@ void InvariantChecker::Validate(Kernel& kernel) {
     const uint64_t* bitmap = as.HasPagingDirected() ? as.bitmap()->words() : nullptr;
     const std::map<VPage, FrameId>& model_pages = oracle_.ResidentPages(id);
     auto model = model_pages.lower_bound(0);
-    bool compare_resident = with_oracle && oracle_resident.empty();
+    bool compare_resident = oracle_resident.empty();
     if (compare_resident && static_cast<int64_t>(model_pages.size()) != pt.resident_count()) {
       oracle_resident = "as=" + std::to_string(id) + " resident count " +
                         std::to_string(pt.resident_count()) + " differs from the model's " +
@@ -569,9 +563,6 @@ void InvariantChecker::Validate(Kernel& kernel) {
   // Oracle cross-validation: the reference model must agree exactly, node by
   // node (byte-honest per node). Passes 1-3 found the first disagreement of
   // each part; report them in the model's order.
-  if (!with_oracle) {
-    return;
-  }
   if (oracle_.num_nodes() != pool.num_nodes()) {
     Fail(now, "oracle", "node count differs from the reference model");
     return;

@@ -48,6 +48,7 @@
 #ifndef TMH_SRC_CHECK_INVARIANTS_H_
 #define TMH_SRC_CHECK_INVARIANTS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -61,10 +62,6 @@ namespace tmh {
 class Kernel;
 
 struct CheckOptions {
-  // Hook events kept in the ring buffer that is dumped with a violation.
-  size_t tail = 32;
-  // Replay the hook stream through the VmOracle and compare against it.
-  bool with_oracle = true;
   // Run the full structural pass at the first quiescent point after at least
   // N VM transitions (IsVmTransition) since the last pass; the oracle replays
   // every transition regardless. 1 checks after every event that changed VM
@@ -112,7 +109,10 @@ class InvariantChecker : public VmChecker {
   CheckOptions options_;
   VmOracle oracle_;
 
-  std::vector<VmHookEvent> tail_;  // ring buffer of the last options_.tail events
+  // Ring buffer of the last kTailEvents VM transitions, dumped with a
+  // violation.
+  static constexpr size_t kTailEvents = 32;
+  std::array<VmHookEvent, kTailEvents> tail_{};
   size_t tail_next_ = 0;
   bool tail_wrapped_ = false;
 

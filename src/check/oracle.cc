@@ -14,7 +14,7 @@ void VmOracle::SeedFromKernel(const Kernel& kernel) {
   dirty_.clear();
   writeback_.clear();
   // Re-derive the sharded pool's shape, then snapshot each node's list.
-  const FramePool& pool = kernel.free_list();
+  const FramePool& pool = kernel.frame_pool();
   frames_per_node_ = pool.frames_per_node();
   free_.resize(static_cast<size_t>(pool.num_nodes()));
   total_free_ = 0;

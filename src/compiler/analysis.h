@@ -34,10 +34,11 @@ struct CompilerTarget {
   int64_t page_size = 16 * 1024;
   int64_t memory_bytes = 75ll * 1024 * 1024;  // assumed available memory
   SimDuration fault_latency = 9 * kMsec;
-  // Cap on the software-pipelining prefetch distance, in pages (affine refs)
-  // or iterations (indirect refs).
-  int64_t max_prefetch_distance = 64;
 };
+
+// Cap on the software-pipelining prefetch distance, in pages (affine refs)
+// or iterations (indirect refs).
+inline constexpr int64_t kMaxPrefetchDistance = 64;
 
 // Per-reference analysis result.
 struct RefReuse {

@@ -40,14 +40,14 @@ int64_t PrefetchDistancePages(const SourceProgram& program, const LoopNest& nest
   const SimDuration time_per_page =
       std::max<SimDuration>(1, iters_per_page * inner_trips * nest.compute_per_iteration);
   const int64_t distance = (target.fault_latency + time_per_page - 1) / time_per_page;
-  return std::clamp<int64_t>(distance, 1, target.max_prefetch_distance);
+  return std::clamp<int64_t>(distance, 1, kMaxPrefetchDistance);
 }
 
 // Distance in iterations for an indirect reference.
 int64_t PrefetchDistanceIterations(const LoopNest& nest, const CompilerTarget& target) {
   const SimDuration per_iter = std::max<SimDuration>(1, nest.compute_per_iteration);
   const int64_t distance = (target.fault_latency + per_iter - 1) / per_iter;
-  return std::clamp<int64_t>(distance, 1, target.max_prefetch_distance);
+  return std::clamp<int64_t>(distance, 1, kMaxPrefetchDistance);
 }
 
 int TraversalDirection(const ArrayRef& ref) {

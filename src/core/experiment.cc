@@ -39,8 +39,7 @@ CompilerTarget TargetFor(const MachineConfig& machine) {
   return target;
 }
 
-CompiledProgram CompileVersion(const SourceProgram& source, const MachineConfig& machine,
-                               AppVersion version, bool adaptive, bool oracle) {
+CompileOptions CompileOptionsFor(AppVersion version, bool adaptive, bool oracle) {
   CompileOptions options;
   options.insert_prefetches = version != AppVersion::kOriginal;
   options.insert_releases = version == AppVersion::kRelease ||
@@ -48,7 +47,12 @@ CompiledProgram CompileVersion(const SourceProgram& source, const MachineConfig&
                             version == AppVersion::kReactive;
   options.adaptive_recompilation = adaptive;
   options.oracle = oracle;
-  return Compile(source, TargetFor(machine), options);
+  return options;
+}
+
+CompiledProgram CompileVersion(const SourceProgram& source, const MachineConfig& machine,
+                               AppVersion version, bool adaptive, bool oracle) {
+  return Compile(source, TargetFor(machine), CompileOptionsFor(version, adaptive, oracle));
 }
 
 namespace {

@@ -49,9 +49,15 @@ const std::vector<AppVersion>& AllVersions();
 // page size, fault latency) from the machine it will run on.
 CompilerTarget TargetFor(const MachineConfig& machine);
 
-// Compiles `source` at the given treatment level. `adaptive` enables run-time
-// re-specialization of unknown-bound nests (the paper's future-work fix);
-// `oracle` gives the analysis perfect knowledge (the hand-tuned baseline).
+// The compiler options of a treatment level: P and later insert prefetches,
+// R, B and V also insert releases (they differ only in RuntimeOptions, so
+// they compile identically). `adaptive` enables run-time re-specialization of
+// unknown-bound nests (the paper's future-work fix); `oracle` gives the
+// analysis perfect knowledge (the hand-tuned baseline).
+CompileOptions CompileOptionsFor(AppVersion version, bool adaptive, bool oracle);
+
+// Compiles `source` at the given treatment level (CompileOptionsFor) for the
+// machine it will run on (TargetFor).
 CompiledProgram CompileVersion(const SourceProgram& source, const MachineConfig& machine,
                                AppVersion version, bool adaptive = false, bool oracle = false);
 

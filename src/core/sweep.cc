@@ -113,32 +113,18 @@ std::string KeyFor(const SourceProgram& source, const CompilerTarget& target,
 
 }  // namespace
 
-CompileCache::Shard& CompileCache::ShardFor(const std::string& key) const {
-  return shards_[std::hash<std::string>{}(key) % kShards];
-}
-
 std::shared_ptr<const CompiledProgram> CompileCache::GetOrCompile(const SourceProgram& source,
                                                                   const MachineConfig& machine,
                                                                   AppVersion version,
                                                                   bool adaptive, bool oracle) {
-  // Mirror CompileVersion's option derivation so versions that compile
-  // identically (R / B / V) share one cached program.
-  CompileOptions options;
-  options.insert_prefetches = version != AppVersion::kOriginal;
-  options.insert_releases = version == AppVersion::kRelease ||
-                            version == AppVersion::kBuffered ||
-                            version == AppVersion::kReactive;
-  options.adaptive_recompilation = adaptive;
-  options.oracle = oracle;
+  const CompileOptions options = CompileOptionsFor(version, adaptive, oracle);
   const CompilerTarget target = TargetFor(machine);
   const std::string key = KeyFor(source, target, options);
-  Shard& shard = ShardFor(key);
-
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.programs.find(key);
-    if (it != shard.programs.end()) {
-      ++shard.stats.hits;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = programs_.find(key);
+    if (it != programs_.end()) {
+      ++stats_.hits;
       return it->second;
     }
   }
@@ -146,29 +132,20 @@ std::shared_ptr<const CompiledProgram> CompileCache::GetOrCompile(const SourcePr
   // workers racing on the same key merely produce one discarded duplicate.
   auto compiled =
       std::make_shared<const CompiledProgram>(Compile(source, target, options));
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.programs.emplace(key, std::move(compiled));
-  ++shard.stats.misses;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto [it, inserted] = programs_.emplace(key, std::move(compiled));
+  ++stats_.misses;
   return it->second;
 }
 
 CompileCache::Stats CompileCache::stats() const {
-  Stats total;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total.hits += shard.stats.hits;
-    total.misses += shard.stats.misses;
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 size_t CompileCache::size() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.programs.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return programs_.size();
 }
 
 int DefaultJobs() {

@@ -27,7 +27,6 @@
 #ifndef TMH_SRC_CORE_SWEEP_H_
 #define TMH_SRC_CORE_SWEEP_H_
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -52,12 +51,9 @@ namespace tmh {
 // workloads built from different seeds never collide — plus the
 // CompilerTarget and the derived CompileOptions.
 //
-// Thread-safe and sharded: the key space is split over 16 independently
-// locked shards (by key hash), so concurrent workers looking up *different*
-// programs never contend on one mutex — with a single global lock, a
-// figure-scale sweep serialized every worker through the cache on each of the
-// hundreds of per-spec lookups. Compilation itself runs outside any lock; a
-// racing duplicate compile is discarded, first insert wins.
+// Thread-safe: one mutex guards the map, held only for the lookup and the
+// insert (a fig07 sweep makes 24 lookups). Compilation itself runs outside
+// the lock; a racing duplicate compile is discarded, first insert wins.
 class CompileCache {
  public:
   std::shared_ptr<const CompiledProgram> GetOrCompile(const SourceProgram& source,
@@ -73,15 +69,9 @@ class CompileCache {
   [[nodiscard]] size_t size() const;
 
  private:
-  static constexpr size_t kShards = 16;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<std::string, std::shared_ptr<const CompiledProgram>> programs;
-    Stats stats;
-  };
-  [[nodiscard]] Shard& ShardFor(const std::string& key) const;
-
-  mutable std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  std::unordered_map<std::string, std::shared_ptr<const CompiledProgram>> programs_;
+  Stats stats_;
 };
 
 struct SweepOptions {

@@ -25,7 +25,6 @@ void Disk::StartNext() {
     return;
   }
   busy_ = true;
-  busy_since_ = queue_->Now();
   // Bounded look-ahead reordering: continue a sequential streak if any nearby
   // queued request allows it (the age-old elevator trick; keeps interleaved
   // read and write streams from paying a full seek per request).
@@ -66,7 +65,6 @@ void Disk::TransferDone() {
   const int64_t blocks = (current_.bytes > 0) ? 1 : 0;
   last_block_end_ = current_.block + blocks;
   ++requests_served_;
-  busy_time_ += queue_->Now() - busy_since_;
   latency_.Add(static_cast<double>(queue_->Now() - current_.submitted_at));
   InlineCallable done = std::move(current_.done);
   // Start the next queued request before running the callback so a callback
@@ -85,7 +83,6 @@ void ScsiController::AcquireBus(SimDuration duration, InlineCallable granted) {
 
 void ScsiController::Grant(Waiter waiter) {
   busy_ = true;
-  busy_time_ += waiter.duration;
   ++transfers_;
   queue_->ScheduleAfter(waiter.duration, [this]() { Release(); });
   waiter.granted();

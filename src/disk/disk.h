@@ -69,7 +69,6 @@ class Disk {
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] size_t queue_depth() const { return pending_.size() + (busy_ ? 1 : 0); }
   [[nodiscard]] uint64_t requests_served() const { return requests_served_; }
-  [[nodiscard]] SimDuration busy_time() const { return busy_time_; }
   [[nodiscard]] const Accumulator& latency_stats() const { return latency_; }
 
  private:
@@ -91,10 +90,8 @@ class Disk {
   IoRequest current_;
   bool busy_ = false;
   int64_t last_block_end_ = -1;  // block just past the last completed request
-  SimTime busy_since_ = 0;
 
   uint64_t requests_served_ = 0;
-  SimDuration busy_time_ = 0;
   Accumulator latency_;  // per-request latency, queue wait included (usec)
 };
 
@@ -112,7 +109,6 @@ class ScsiController {
   void AcquireBus(SimDuration duration, InlineCallable granted);
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] SimDuration busy_time() const { return busy_time_; }
   [[nodiscard]] uint64_t transfers() const { return transfers_; }
 
  private:
@@ -128,7 +124,6 @@ class ScsiController {
   std::string name_;
   bool busy_ = false;
   std::deque<Waiter> waiters_;
-  SimDuration busy_time_ = 0;
   uint64_t transfers_ = 0;
 };
 

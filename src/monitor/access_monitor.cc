@@ -136,7 +136,7 @@ void AccessMonitor::CloseWindow(AsState& state) {
   for (MonitorRegion& region : state.regions) {
     region.nr_accesses = region.hits;
     region.hits = 0;
-    if (region.nr_accesses <= config_.cold_max_accesses) {
+    if (region.nr_accesses <= kColdMaxAccesses) {
       ++region.age;
     } else {
       region.age = 0;
@@ -149,20 +149,14 @@ void AccessMonitor::CloseWindow(AsState& state) {
 
 void AccessMonitor::ApplySchemes(AsState& state) {
   AddressSpace* as = state.as;
-  int64_t budget = config_.cold_quota_pages;
+  int64_t budget = kColdQuotaPages;
   bool enqueued_any = false;
-  // Tiered machines: cold releases demote instead of freeing. Resolve the
-  // target depth once per window — config 0 means the deepest tier.
-  const int32_t slow = kernel_->config().num_slow_tiers();
-  const int32_t depth =
-      slow > 0 ? (config_.demote_tier > 0
-                      ? static_cast<int32_t>(
-                            std::min<int64_t>(config_.demote_tier, slow))
-                      : slow)
-               : 0;
+  // Tiered machines: cold releases demote into the deepest tier instead of
+  // freeing (depth 0 frees, on a machine without slow tiers).
+  const int32_t depth = kernel_->config().num_slow_tiers();
   for (MonitorRegion& region : state.regions) {
-    if (config_.release_cold && region.nr_accesses <= config_.cold_max_accesses &&
-        region.age >= config_.cold_min_age && budget > 0) {
+    if (config_.release_cold && region.nr_accesses <= kColdMaxAccesses &&
+        region.age >= kColdMinAge && budget > 0) {
       ++stats_.cold_regions_actioned;
       for (VPage p = region.begin; p < region.end && budget > 0; ++p) {
         if (kernel_->MonitorEnqueueRelease(as, p, depth)) {
@@ -176,7 +170,7 @@ void AccessMonitor::ApplySchemes(AsState& state) {
       // get a full grace period.
       region.age = 0;
     }
-    if (config_.protect_hot && region.nr_accesses >= config_.hot_min_accesses) {
+    if (config_.protect_hot && region.nr_accesses >= kHotMinAccesses) {
       ++stats_.hot_regions_actioned;
       for (VPage p = region.begin; p < region.end; ++p) {
         if (kernel_->MonitorProtectPage(as, p)) {
@@ -199,7 +193,7 @@ void AccessMonitor::MergeRegions(AsState& state) {
   merged.reserve(state.regions.size());
   for (const MonitorRegion& r : state.regions) {
     if (!merged.empty() && count > config_.min_regions &&
-        std::abs(merged.back().nr_accesses - r.nr_accesses) <= config_.merge_threshold) {
+        std::abs(merged.back().nr_accesses - r.nr_accesses) <= kMergeThreshold) {
       MonitorRegion& prev = merged.back();
       const int64_t lp = prev.end - prev.begin;
       const int64_t rp = r.end - r.begin;

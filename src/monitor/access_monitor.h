@@ -53,30 +53,20 @@ struct MonitorConfig {
   // max_regions. Together they bound per-tick work for any access pattern.
   int64_t min_regions = 8;
   int64_t max_regions = 64;
-  // Adjacent regions whose closed-window access counts differ by at most this
-  // merge into one.
-  int64_t merge_threshold = 1;
   // Seed for sample placement and split offsets (deterministic replay).
   uint64_t seed = 1;
 
-  // --- schemes (pattern -> action) -----------------------------------------
-  // Cold: a region whose nr_accesses stayed <= cold_max_accesses for
-  // cold_min_age consecutive windows is released through the standard release
-  // path, up to cold_quota_pages pages per address space per window.
+  // --- schemes (pattern -> action); thresholds are AccessMonitor::k* -------
+  // Cold: a region whose nr_accesses stayed <= kColdMaxAccesses for
+  // kColdMinAge consecutive windows is released through the standard release
+  // path, up to kColdQuotaPages pages per address space per window. On tiered
+  // machines the release demotes into the deepest slow tier (monitored
+  // coldness carries no reuse hint, like a priority-0 release).
   bool release_cold = true;
-  int64_t cold_max_accesses = 0;
-  int64_t cold_min_age = 2;
-  int64_t cold_quota_pages = 512;
-  // On tiered machines, the slow tier cold releases demote into: 0 picks the
-  // deepest tier (monitored coldness carries no reuse hint, like a priority-0
-  // release), k > 0 pins tier min(k, num_slow_tiers). Ignored when the
-  // machine has no slow tiers — releases free frames exactly as before.
-  int64_t demote_tier = 0;
-  // Hot: a region with nr_accesses >= hot_min_accesses in the closed window
+  // Hot: a region with nr_accesses >= kHotMinAccesses in the closed window
   // gets its frames' reference bits re-set, shielding it from the clock for
   // one daemon pass (the Eq. 2 priority analog).
   bool protect_hot = false;
-  int64_t hot_min_accesses = 5;
 };
 
 // One contiguous virtual region [begin, end) with uniform-ish access behavior.
@@ -87,7 +77,7 @@ struct MonitorRegion {
   int64_t nr_accesses = 0;
   // Hits so far in the open window.
   int64_t hits = 0;
-  // Consecutive closed windows with nr_accesses <= cold_max_accesses.
+  // Consecutive closed windows with nr_accesses <= kColdMaxAccesses.
   int64_t age = 0;
   // Page armed by the previous tick, kNoVPage before the first arm.
   VPage sampled = kNoVPage;
@@ -110,6 +100,17 @@ struct MonitorStats {
 
 class AccessMonitor {
  public:
+  // The schemes engine's thresholds (INTERNALS §12). Adjacent regions whose
+  // closed-window access counts differ by at most kMergeThreshold merge into
+  // one. A region is cold after kColdMinAge consecutive windows at or below
+  // kColdMaxAccesses, and at most kColdQuotaPages of an address space's cold
+  // pages are queued per window. A region is hot at kHotMinAccesses.
+  static constexpr int64_t kMergeThreshold = 1;
+  static constexpr int64_t kColdMaxAccesses = 0;
+  static constexpr int64_t kColdMinAge = 2;
+  static constexpr int64_t kColdQuotaPages = 512;
+  static constexpr int64_t kHotMinAccesses = 5;
+
   // Attaches to the kernel (asserts no other monitor is attached). Monitoring
   // does not begin until Start().
   AccessMonitor(Kernel& kernel, MonitorConfig config);

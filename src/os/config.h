@@ -70,9 +70,6 @@ struct Tunables {
   // pages (round-robin clock) instead of letting global replacement run, and
   // prefetches beyond the cap are dropped. 0 = global replacement (default).
   int64_t local_partition_pages = 0;
-  // Upper bound on frames scanned per daemon activation (two full clock
-  // sweeps) to guarantee forward progress.
-  int64_t daemon_max_scan_factor = 2;
   // Section 3.1.1's unexplored alternative, implemented as an extension: when
   // nonzero, the OS refreshes a process's shared-page header as soon as free
   // memory has moved by more than this many pages since the header was last

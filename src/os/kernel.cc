@@ -25,9 +25,9 @@ Kernel::Kernel(const MachineConfig& config)
       // Freshly booted machine: every frame free, each node's list its own
       // frame range in ascending order (the 1-node list is exactly the
       // historical 0..n-1 sequence).
-      free_list_(config.num_frames(), config.num_nodes, FramePool::AllFree{}) {
+      frame_pool_(config.num_frames(), config.num_nodes, FramePool::AllFree{}) {
   swap_ = std::make_unique<SwapSpace>(&queue_, config.swap, config.page_size_bytes);
-  node_allocations_.assign(static_cast<size_t>(free_list_.num_nodes()), 0);
+  node_allocations_.assign(static_cast<size_t>(frame_pool_.num_nodes()), 0);
   // Slow-tier planes (memory-tiering extension). tiers[0] is DRAM (capacity
   // comes from user_memory_bytes, handled above); each further entry gets its
   // own frame pool, identity arrays, and clock hand. With no slow tiers this
@@ -58,7 +58,7 @@ AddressSpace* Kernel::CreateAddressSpace(const std::string& name, int64_t bytes)
                                            pages, next_swap_slot_);
   // Fixed deterministic placement (id % nodes) so the differential oracle can
   // replicate the home-node choice without being told.
-  as->set_home_node(static_cast<int>(as->id() % free_list_.num_nodes()));
+  as->set_home_node(static_cast<int>(as->id() % frame_pool_.num_nodes()));
   next_swap_slot_ += pages;
   address_spaces_.push_back(std::move(as));
   if (recorder_ != nullptr) {
@@ -95,7 +95,7 @@ void Kernel::StartDaemons() {
 void Kernel::DaemonTickChain(SimDuration period) {
   queue_.ScheduleAfter(period, [this, period]() {
     // Free-memory counter track for the Chrome trace, on the daemon beat.
-    Emit(VmHookOp::kFreePagesSample, kKernelTid, kNoAs, kNoVPage, kNoFrame, free_list_.size());
+    Emit(VmHookOp::kFreePagesSample, kKernelTid, kNoAs, kNoVPage, kNoFrame, frame_pool_.size());
     Signal(&paging_daemon_->wait_queue());
     DaemonTickChain(period);
   });
@@ -125,41 +125,13 @@ void Kernel::PublishMetrics() {
   const auto pub = [&metrics](const char* name, uint64_t v) {
     metrics.GetCounter(name)->Set(v);
   };
-  pub("kernel.daemon_activations", stats_.daemon_activations);
-  pub("kernel.daemon_pages_stolen", stats_.daemon_pages_stolen);
-  pub("kernel.daemon_invalidations", stats_.daemon_invalidations);
-  pub("kernel.releaser_batches", stats_.releaser_batches);
-  pub("kernel.releaser_pages_freed", stats_.releaser_pages_freed);
-  pub("kernel.releaser_skipped", stats_.releaser_skipped);
-  pub("kernel.rescued_daemon_freed", stats_.rescued_daemon_freed);
-  pub("kernel.rescued_release_freed", stats_.rescued_release_freed);
-  pub("kernel.allocations", stats_.allocations);
-  pub("kernel.zero_fills", stats_.zero_fills);
-  pub("kernel.writebacks", stats_.writebacks);
-  pub("kernel.hard_faults", stats_.hard_faults);
-  pub("kernel.soft_faults", stats_.soft_faults);
-  pub("kernel.prefetch_requests", stats_.prefetch_requests);
-  pub("kernel.prefetch_dropped", stats_.prefetch_dropped);
-  pub("kernel.prefetch_noop", stats_.prefetch_noop);
-  pub("kernel.prefetch_io", stats_.prefetch_io);
-  pub("kernel.release_requests", stats_.release_requests);
-  pub("kernel.release_pages_enqueued", stats_.release_pages_enqueued);
-  pub("kernel.memory_waits", stats_.memory_waits);
-  pub("kernel.reactive_evictions", stats_.reactive_evictions);
-  pub("kernel.local_evictions", stats_.local_evictions);
-  pub("kernel.readahead_reads", stats_.readahead_reads);
-  pub("kernel.monitor_invalidations", stats_.monitor_invalidations);
-  pub("kernel.monitor_soft_faults", stats_.monitor_soft_faults);
-  pub("kernel.monitor_releases_enqueued", stats_.monitor_releases_enqueued);
-  pub("kernel.monitor_pages_protected", stats_.monitor_pages_protected);
-  pub("kernel.tier_demotions", stats_.tier_demotions);
-  pub("kernel.tier_promotions", stats_.tier_promotions);
-  pub("kernel.tier_evictions", stats_.tier_evictions);
-  pub("kernel.tier_writebacks", stats_.tier_writebacks);
+#define TMH_PUBLISH_KERNEL_STAT(field) pub("kernel." #field, stats_.field);
+  TMH_KERNEL_STATS(TMH_PUBLISH_KERNEL_STAT)
+#undef TMH_PUBLISH_KERNEL_STAT
   pub("kernel.swap_reads", swap_->reads());
   pub("kernel.swap_writes", swap_->writes());
   pub("kernel.trace_events_dropped", recorder_->log().dropped());
-  metrics.GetGauge("kernel.free_pages")->Set(static_cast<double>(free_list_.size()));
+  metrics.GetGauge("kernel.free_pages")->Set(static_cast<double>(frame_pool_.size()));
   for (const auto& as : address_spaces_) {
     const MetricLabels labels = {{"as", as->name()}};
     const AsStats& s = as->stats();
@@ -175,7 +147,7 @@ void Kernel::PublishMetrics() {
 }
 
 void Kernel::StartTracing(SimDuration period) {
-  assert(trace_.empty() && "tracing already started");
+  assert(period > 0 && trace_period_ == 0 && "tracing already started");
   trace_.AddSeries("free_pages");
   for (const auto& as : address_spaces_) {
     trace_.AddSeries(as->name() + "_rss");
@@ -185,15 +157,20 @@ void Kernel::StartTracing(SimDuration period) {
   trace_.AddSeries("hard_faults");
   trace_.AddSeries("soft_faults");
   trace_.AddSeries("swap_queue");
-  TraceTick(period);
+  // The first row is the state tracing starts from; the run loops take the
+  // rest between events.
+  RecordTraceRow(Now());
+  trace_period_ = period;
+  next_trace_row_ = Now() + period;
+  between_events_ = true;
 }
 
-void Kernel::TraceTick(SimDuration period) {
+void Kernel::RecordTraceRow(SimTime when) {
   // Only the address spaces that existed at StartTracing have series.
   const size_t traced_as = trace_.series().size() - 6;
   std::vector<double> row;
   row.reserve(traced_as + 6);
-  row.push_back(static_cast<double>(free_list_.size()));
+  row.push_back(static_cast<double>(frame_pool_.size()));
   for (size_t a = 0; a < traced_as && a < address_spaces_.size(); ++a) {
     row.push_back(static_cast<double>(address_spaces_[a]->page_table().resident_count()));
   }
@@ -202,14 +179,28 @@ void Kernel::TraceTick(SimDuration period) {
   row.push_back(static_cast<double>(stats_.hard_faults));
   row.push_back(static_cast<double>(stats_.soft_faults));
   row.push_back(static_cast<double>(swap_->TotalQueueDepth()));
-  trace_.Record(Now(), std::move(row));
-  queue_.ScheduleAfter(period, [this, period]() { TraceTick(period); });
+  trace_.Record(when, std::move(row));
+}
+
+void Kernel::BetweenEvents(bool stopping) {
+  if (checker_ != nullptr) {
+    checker_->OnQuiescent(*this);
+  }
+  if (trace_period_ > 0) {
+    SimTime horizon = queue_.NextEventTime(Now() + 1);
+    if (stopping) {
+      horizon = std::min(horizon, Now() + 1);
+    }
+    for (; next_trace_row_ < horizon; next_trace_row_ += trace_period_) {
+      RecordTraceRow(next_trace_row_);
+    }
+  }
 }
 
 bool Kernel::RunUntilDone(const std::function<bool()>& done, uint64_t max_events) {
   // The predicate is checked before the first event and after every executed
   // event, but dispatch drains whole same-time buckets between wheel scans.
-  // An attached checker gets its quiescent point first, after every event.
+  // Attached observers get their between-events step after every event.
   if (done()) {
     return true;
   }
@@ -220,10 +211,11 @@ bool Kernel::RunUntilDone(const std::function<bool()>& done, uint64_t max_events
   stop_hint_fired_ = false;
   queue_.RunWhile(
       [&]() {
-        if (TMH_UNLIKELY(checker_ != nullptr)) {
-          checker_->OnQuiescent(*this);
+        stopped = stop_hint_fired_ || done();
+        if (TMH_UNLIKELY(between_events_)) {
+          BetweenEvents(stopped);
         }
-        return (stopped = (stop_hint_fired_ || done()));
+        return stopped;
       },
       max_events);
   stop_hint_ = prev_hint;
@@ -243,7 +235,7 @@ bool Kernel::RunUntilThreadsDone(const std::vector<Thread*>& threads, uint64_t m
   // Threads only ever enter kDone (never leave), and every such transition
   // bumps done_generation_, so the predicate is re-evaluated only when it
   // could possibly have flipped. The per-event cost is one counter compare,
-  // plus the checker's quiescent point when one is attached.
+  // plus the observers' between-events step when one is attached.
   if (all_done()) {
     return true;
   }
@@ -251,14 +243,14 @@ bool Kernel::RunUntilThreadsDone(const std::vector<Thread*>& threads, uint64_t m
   bool stopped = false;
   queue_.RunWhile(
       [&]() {
-        if (TMH_UNLIKELY(checker_ != nullptr)) {
-          checker_->OnQuiescent(*this);
+        if (done_generation_ != seen_gen) {
+          seen_gen = done_generation_;
+          stopped = all_done();
         }
-        if (done_generation_ == seen_gen) {
-          return false;
+        if (TMH_UNLIKELY(between_events_)) {
+          BetweenEvents(stopped);
         }
-        seen_gen = done_generation_;
-        return (stopped = all_done());
+        return stopped;
       },
       max_events);
   return stopped || all_done();
@@ -508,11 +500,11 @@ void Kernel::ReleaseLock(Thread* t, MemoryLock& lock) {
 // --- memory helpers ----------------------------------------------------------
 
 FrameId Kernel::AllocateFrame(AddressSpace* as, VPage vpage) {
-  const FrameId f = free_list_.PopHead(as->home_node());
+  const FrameId f = frame_pool_.PopHead(as->home_node());
   if (f == kNoFrame) {
     return kNoFrame;
   }
-  ++node_allocations_[static_cast<size_t>(free_list_.NodeOf(f))];
+  ++node_allocations_[static_cast<size_t>(frame_pool_.NodeOf(f))];
   const AsId old_owner = frames_.owner(f);
   if (old_owner != kNoAs) {
     // Break the stale rescue identity of the page that last lived here.
@@ -527,7 +519,7 @@ FrameId Kernel::AllocateFrame(AddressSpace* as, VPage vpage) {
   frames_.set_vpage(f, vpage);
   ++stats_.allocations;
   Emit(VmHookOp::kAlloc, kKernelTid, as->id(), vpage, f);
-  if (free_list_.size() < config_.tunables.min_freemem_pages) {
+  if (frame_pool_.size() < config_.tunables.min_freemem_pages) {
     WakeDaemon();
   }
   MaybeNotifySharedHeaders();
@@ -585,9 +577,9 @@ void Kernel::FreeFrame(FrameId f, bool at_tail) {
       frames_.set_io_busy(f, false);
       Emit(VmHookOp::kWritebackEnd, kKernelTid, frames_.owner(f), frames_.vpage(f), f);
       if (at_tail) {
-        free_list_.PushTail(f);
+        frame_pool_.PushTail(f);
       } else {
-        free_list_.PushHead(f);
+        frame_pool_.PushHead(f);
       }
       Emit(at_tail ? VmHookOp::kFreePushTail : VmHookOp::kFreePushHead, kKernelTid,
            frames_.owner(f), frames_.vpage(f), f);
@@ -598,9 +590,9 @@ void Kernel::FreeFrame(FrameId f, bool at_tail) {
     return;
   }
   if (at_tail) {
-    free_list_.PushTail(f);
+    frame_pool_.PushTail(f);
   } else {
-    free_list_.PushHead(f);
+    frame_pool_.PushHead(f);
   }
   Emit(at_tail ? VmHookOp::kFreePushTail : VmHookOp::kFreePushHead, kKernelTid,
        frames_.owner(f), frames_.vpage(f), f);
@@ -627,12 +619,12 @@ bool Kernel::TryRescue(Thread* t, AddressSpace* as, VPage vpage) {
     return false;
   }
   if (!frames_.IsPage(f, as->id(), vpage) || !frames_.contents_valid(f) || frames_.io_busy(f) ||
-      !free_list_.Contains(f)) {
+      !frame_pool_.Contains(f)) {
     pte.frame = kNoFrame;  // stale link
     return false;
   }
   const FreedBy freed_by = frames_.freed_by(f);
-  free_list_.Remove(f);
+  frame_pool_.Remove(f);
   Emit(VmHookOp::kRescue, t->id(), as->id(), vpage, f, static_cast<int64_t>(freed_by));
   if (freed_by == FreedBy::kDaemon) {
     ++stats_.rescued_daemon_freed;
@@ -663,9 +655,9 @@ void Kernel::UpdateSharedHeader(AddressSpace* as) {
   const int64_t current = as->page_table().resident_count();
   const int64_t upper =
       std::min(config_.tunables.maxrss_pages,
-               current + free_list_.size() - config_.tunables.min_freemem_pages);
+               current + frame_pool_.size() - config_.tunables.min_freemem_pages);
   as->bitmap()->SetHeader(current, std::max<int64_t>(upper, 0));
-  as->set_header_free_snapshot(free_list_.size());
+  as->set_header_free_snapshot(frame_pool_.size());
   Emit(VmHookOp::kHeaderUpdate, kKernelTid, as->id(), kNoVPage, kNoFrame, current,
        std::max<int64_t>(upper, 0));
 }
@@ -803,7 +795,7 @@ void Kernel::MaybeNotifySharedHeaders() {
   if (threshold <= 0) {
     return;  // the paper's lazy behavior
   }
-  const int64_t free = free_list_.size();
+  const int64_t free = frame_pool_.size();
   for (const auto& as : address_spaces_) {
     if (as->HasPagingDirected() &&
         std::abs(free - as->header_free_snapshot()) > threshold) {
@@ -1024,7 +1016,7 @@ Kernel::ExecResult Kernel::DoTouch(Thread* t, Op& op, SimDuration* elapsed) {
   for (int64_t k = 1; k <= config_.tunables.fault_readahead_pages; ++k) {
     const VPage next = op.vpage + k;
     if (next >= as->num_pages() ||
-        free_list_.size() <= config_.tunables.min_freemem_pages) {
+        frame_pool_.size() <= config_.tunables.min_freemem_pages) {
       break;
     }
     const Pte& npte = as->page_table().at(next);

@@ -40,39 +40,47 @@ class AccessMonitor;
 class PagingDaemon;
 class Releaser;
 
-// Global memory-management counters (Table 3, Figures 8 and 9).
+// Global memory-management counters (Table 3, Figures 8 and 9), declared once
+// in declaration order: X(field) per counter. KernelStats and
+// Kernel::PublishMetrics' "kernel.<field>" counters are both generated from
+// this list.
+#define TMH_KERNEL_STATS(X)                                                           \
+  X(daemon_activations)        /* wakeups that found stealing work to do */           \
+  X(daemon_pages_stolen)                                                              \
+  X(daemon_invalidations)      /* reference-bit sampling invalidations */             \
+  X(releaser_batches)                                                                 \
+  X(releaser_pages_freed)                                                             \
+  X(releaser_skipped)          /* release requests dropped: page re-referenced */     \
+  X(rescued_daemon_freed)      /* rescues of daemon-freed pages */                    \
+  X(rescued_release_freed)                                                            \
+  X(allocations)               /* frames handed out (page-ins + zero-fills) */        \
+  X(zero_fills)                                                                       \
+  X(writebacks)                /* dirty page-outs */                                  \
+  X(hard_faults)                                                                      \
+  X(soft_faults)               /* daemon-invalidation revalidations */                \
+  X(prefetch_requests)                                                                \
+  X(prefetch_dropped)          /* no free memory: discarded immediately */            \
+  X(prefetch_noop)             /* already resident */                                 \
+  X(prefetch_io)               /* actually read from swap */                          \
+  X(release_requests)                                                                 \
+  X(release_pages_enqueued)                                                           \
+  X(memory_waits)              /* faults that had to wait for a free frame */         \
+  X(reactive_evictions)        /* pages surrendered via an eviction handler */        \
+  X(local_evictions)           /* self-evictions under local replacement */           \
+  X(readahead_reads)           /* clustered page-ins issued with faults */            \
+  X(monitor_invalidations)     /* access-monitor sampling invalidations */            \
+  X(monitor_soft_faults)       /* revalidations of monitor samples */                 \
+  X(monitor_releases_enqueued) /* releases queued by the schemes engine */            \
+  X(monitor_pages_protected)   /* reference bits re-set for hot regions */            \
+  X(tier_demotions)            /* releases that migrated a page to a slow tier */     \
+  X(tier_promotions)           /* touches that migrated a page back to DRAM */        \
+  X(tier_evictions)            /* tier-capacity evictions (cascade or to disk) */     \
+  X(tier_writebacks)           /* dirty last-tier evictions charged a page-out */
+
 struct KernelStats {
-  uint64_t daemon_activations = 0;   // wakeups that found stealing work to do
-  uint64_t daemon_pages_stolen = 0;
-  uint64_t daemon_invalidations = 0; // reference-bit sampling invalidations
-  uint64_t releaser_batches = 0;
-  uint64_t releaser_pages_freed = 0;
-  uint64_t releaser_skipped = 0;     // release requests dropped: page re-referenced
-  uint64_t rescued_daemon_freed = 0; // rescues of daemon-freed pages
-  uint64_t rescued_release_freed = 0;
-  uint64_t allocations = 0;          // frames handed out (page-ins + zero-fills)
-  uint64_t zero_fills = 0;
-  uint64_t writebacks = 0;           // dirty page-outs
-  uint64_t hard_faults = 0;
-  uint64_t soft_faults = 0;          // daemon-invalidation revalidations
-  uint64_t prefetch_requests = 0;
-  uint64_t prefetch_dropped = 0;     // no free memory: discarded immediately
-  uint64_t prefetch_noop = 0;        // already resident
-  uint64_t prefetch_io = 0;          // actually read from swap
-  uint64_t release_requests = 0;
-  uint64_t release_pages_enqueued = 0;
-  uint64_t memory_waits = 0;         // faults that had to wait for a free frame
-  uint64_t reactive_evictions = 0;   // pages surrendered via an eviction handler
-  uint64_t local_evictions = 0;      // self-evictions under local replacement
-  uint64_t readahead_reads = 0;      // clustered page-ins issued with faults
-  uint64_t monitor_invalidations = 0;     // access-monitor sampling invalidations
-  uint64_t monitor_soft_faults = 0;       // revalidations of monitor samples
-  uint64_t monitor_releases_enqueued = 0; // releases queued by the schemes engine
-  uint64_t monitor_pages_protected = 0;   // reference bits re-set for hot regions
-  uint64_t tier_demotions = 0;       // releases that migrated a page to a slow tier
-  uint64_t tier_promotions = 0;      // touches that migrated a page back to DRAM
-  uint64_t tier_evictions = 0;       // tier-capacity evictions (cascade or to disk)
-  uint64_t tier_writebacks = 0;      // dirty last-tier evictions charged a page-out
+#define TMH_KERNEL_STAT_FIELD(field) uint64_t field = 0;
+  TMH_KERNEL_STATS(TMH_KERNEL_STAT_FIELD)
+#undef TMH_KERNEL_STAT_FIELD
 };
 
 class Kernel {
@@ -97,9 +105,12 @@ class Kernel {
   // Starts the paging daemon, the releaser daemon, and the periodic timer.
   void StartDaemons();
 
-  // Starts periodic time-series sampling (free pages, per-AS resident sets,
-  // reclaim counters, swap queue depth). Call after creating the address
-  // spaces whose resident sets should appear as series.
+  // Starts time-series sampling (free pages, per-AS resident sets, reclaim
+  // counters, swap queue depth): a row of the current state now, then one
+  // per `period` boundary. The row at boundary T is taken between events,
+  // once every event at or before T has run; sampling posts no event, so a
+  // traced run is the untraced run. Call after creating the address spaces
+  // whose resident sets should appear as series.
   void StartTracing(SimDuration period);
   [[nodiscard]] const TraceRecorder& trace() const { return trace_; }
 
@@ -128,6 +139,7 @@ class Kernel {
   void AttachChecker(VmChecker* checker) {
     checker_ = checker;
     observed_ = checker_ != nullptr || recorder_ != nullptr;
+    between_events_ = checker_ != nullptr || trace_period_ > 0;
   }
 
   // Emits one event of the observer stream (src/os/vm_hooks.h) to the
@@ -192,9 +204,9 @@ class Kernel {
   [[nodiscard]] const MachineConfig& config() const { return config_; }
   [[nodiscard]] const KernelStats& stats() const { return stats_; }
   [[nodiscard]] const FrameTable& frames() const { return frames_; }
-  [[nodiscard]] const FramePool& free_list() const { return free_list_; }
+  [[nodiscard]] const FramePool& frame_pool() const { return frame_pool_; }
   [[nodiscard]] SwapSpace& swap() { return *swap_; }
-  [[nodiscard]] int64_t FreePages() const { return free_list_.size(); }
+  [[nodiscard]] int64_t FreePages() const { return frame_pool_.size(); }
   // Frames handed out per memory node (sharded allocation counter; the
   // per-node isolation tests assert against this).
   [[nodiscard]] const std::vector<uint64_t>& node_allocations() const {
@@ -365,7 +377,7 @@ class Kernel {
   const MachineConfig config_;
   EventQueue queue_;
   FrameTable frames_;
-  FramePool free_list_;
+  FramePool frame_pool_;
   std::unique_ptr<SwapSpace> swap_;
   // Slow-tier planes (empty unless config_.has_slow_tiers()).
   std::vector<TierPlane> tier_planes_;
@@ -419,9 +431,20 @@ class Kernel {
 
   KernelStats stats_;
 
-  // Tracing.
-  void TraceTick(SimDuration period);
+  // The run loops' between-events step, reached through one predicted-false
+  // test of between_events_: the checker's quiescent point, then the time
+  // series' rows for every boundary before the next pending event (state
+  // cannot change until it runs). A run that is `stopping` samples only up
+  // to Now(), because whoever resumes it may post an earlier event. Observers
+  // only read the run here; none of them schedules into it.
+  void BetweenEvents(bool stopping);
+  void RecordTraceRow(SimTime when);
+  bool between_events_ = false;  // checker attached or tracing started
+
+  // Time series (StartTracing); period 0 = off.
   TraceRecorder trace_;
+  SimDuration trace_period_ = 0;
+  SimTime next_trace_row_ = 0;
 
   // Sinks of the observer stream (dormant unless AttachChecker or
   // EnableObservability ran); observed_ is true while either is attached.

@@ -60,7 +60,6 @@ class MemoryLock {
 
   [[nodiscard]] Thread* holder() const { return holder_; }
   [[nodiscard]] bool IsHeldBy(const Thread* t) const { return holder_ == t; }
-  [[nodiscard]] size_t waiter_count() const { return waiters_.size(); }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] uint64_t acquisitions() const { return acquisitions_; }
   [[nodiscard]] uint64_t contended_acquisitions() const { return contended_acquisitions_; }

@@ -14,7 +14,7 @@ Op PagingDaemon::Next(Kernel& kernel) {
     case Phase::kIdle: {
       AddressSpace* over_rss = FindOverMaxrss();
       if (!active_) {
-        if (k.free_list_.size() >= tun.min_freemem_pages && over_rss == nullptr) {
+        if (k.frame_pool_.size() >= tun.min_freemem_pages && over_rss == nullptr) {
           return Op::Wait(&wq_);
         }
         active_ = true;
@@ -26,12 +26,12 @@ Op PagingDaemon::Next(Kernel& kernel) {
       }
       // Keep sweeping until the free target is met AND the minimum reference-
       // bit sampling quota for this activation has been covered.
-      if (k.free_list_.size() >= tun.target_freemem_pages && over_rss == nullptr &&
+      if (k.frame_pool_.size() >= tun.target_freemem_pages && over_rss == nullptr &&
           scanned_this_round_ >= sweep_quota_) {
         active_ = false;
         return Op::Wait(&wq_);
       }
-      if (scanned_this_round_ >= tun.daemon_max_scan_factor * k.frames_.size()) {
+      if (scanned_this_round_ >= kMaxScanSweeps * k.frames_.size()) {
         // Full sweeps without reaching the target (e.g. everything io_busy or
         // referenced): yield until the next tick so the system makes progress.
         active_ = false;
@@ -66,7 +66,7 @@ AddressSpace* PagingDaemon::FindOverMaxrss() const {
 
 AddressSpace* PagingDaemon::GatherBatch(AddressSpace* filter) {
   Kernel& k = *kernel_;
-  const FramePool& pool = k.free_list_;
+  const FramePool& pool = k.frame_pool_;
   const int nodes = pool.num_nodes();
   if (clock_hands_.empty()) {
     // One hand per node, parked at the node's first frame.
@@ -74,9 +74,6 @@ AddressSpace* PagingDaemon::GatherBatch(AddressSpace* filter) {
     for (int node = 0; node < nodes; ++node) {
       clock_hands_.push_back(pool.NodeBegin(node));
     }
-  }
-  if (nodes == 1) {
-    return GatherBatchFromNode(filter, 0);
   }
   // Sweep the most-pressured node first (fewest free pages; ties break to the
   // lowest index so the choice is deterministic), then the others in wrap
@@ -108,8 +105,8 @@ AddressSpace* PagingDaemon::GatherBatchFromNode(AddressSpace* filter, int node) 
   Kernel& k = *kernel_;
   // The hand is confined to this node's frame range [base, end): per-node
   // clock aging, so one node's pressure never ages another node's frames.
-  const int64_t base = k.free_list_.NodeBegin(node);
-  const int64_t end = k.free_list_.NodeEnd(node);
+  const int64_t base = k.frame_pool_.NodeBegin(node);
+  const int64_t end = k.frame_pool_.NodeEnd(node);
   const int64_t n = end - base;
   int64_t& clock_hand = clock_hands_[static_cast<size_t>(node)];
   batch_.clear();
@@ -177,7 +174,7 @@ SimDuration PagingDaemon::ProcessBatch() {
   // instead of aging its frames with the clock. The daemon still runs — the
   // OS still decides *which process* pays — but this process's victims are
   // self-chosen, so no invalidation soft faults and no bad steals for it.
-  if (batch_as_->HasEvictionHandler() && k.free_list_.size() < target) {
+  if (batch_as_->HasEvictionHandler() && k.frame_pool_.size() < target) {
     const auto wanted = static_cast<int64_t>(batch_.size());
     const std::vector<VPage> victims = batch_as_->AskEvictionHandler(wanted);
     for (const VPage vpage : victims) {
@@ -230,7 +227,7 @@ SimDuration PagingDaemon::ProcessBatch() {
       ++batch_as_->stats().invalidations_received;
       k.Emit(VmHookOp::kInvalidate, k.daemon_thread_->id(), batch_as_->id(), vpage, f,
              static_cast<int64_t>(InvalidReason::kDaemonInvalidated));
-    } else if (k.free_list_.size() >= target &&
+    } else if (k.frame_pool_.size() >= target &&
                batch_as_->page_table().resident_count() <=
                    k.config_.tunables.maxrss_pages) {
       // Above the free target this pass only samples reference bits; the

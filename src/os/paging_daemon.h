@@ -38,6 +38,11 @@ class PagingDaemon : public Program {
  private:
   enum class Phase : uint8_t { kIdle, kLocked, kUnlock };
 
+  // Upper bound on frames scanned per activation, in full clock sweeps, so an
+  // activation that cannot reach its target still yields and the system makes
+  // progress.
+  static constexpr int64_t kMaxScanSweeps = 2;
+
   // Gathers the next batch of same-owner frames under the clock hands into
   // batch_. Nodes are tried most-pressured first (fewest free pages, tie ->
   // lowest index), each with its own hand confined to its frame range; with

@@ -159,7 +159,6 @@ class Thread {
   [[nodiscard]] bool is_daemon() const { return is_daemon_; }
 
   [[nodiscard]] State state() const { return state_; }
-  [[nodiscard]] BlockReason block_reason() const { return block_reason_; }
   [[nodiscard]] const TimeBreakdown& times() const { return times_; }
   [[nodiscard]] const FaultStats& faults() const { return faults_; }
   // Per-page-in wait times (ns): how long each of this thread's faults spent

@@ -321,7 +321,7 @@ TEST(CompileTest, PrefetchDistanceCoversFaultLatency) {
   for (const HintDirective& d : compiled.nests[0].directives) {
     // One page = 2048 iterations * 100 ns = 204.8 us; latency 10 ms => ~49.
     EXPECT_GE(d.distance, 40);
-    EXPECT_LE(d.distance, target.max_prefetch_distance);
+    EXPECT_LE(d.distance, kMaxPrefetchDistance);
   }
 }
 

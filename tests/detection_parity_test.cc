@@ -55,7 +55,7 @@ class ParityRig {
   AddressSpace& as() { return *as_; }
   Pte& pte(VPage v) { return as_->page_table().at(v); }
   FrameTable& frames() { return const_cast<FrameTable&>(kernel_.frames()); }
-  FramePool& free_list() { return const_cast<FramePool&>(kernel_.free_list()); }
+  FramePool& free_list() { return const_cast<FramePool&>(kernel_.frame_pool()); }
   Kernel::TierPlane& plane(size_t i) {
     return const_cast<Kernel::TierPlane&>(kernel_.tier_planes()[i]);
   }
@@ -204,7 +204,7 @@ TEST(DetectionParityTest, InvalidOwnerOnMappedFrameIsIFt) {
 TEST(DetectionParityTest, DirtyFreeFrameIsIFl) {
   ParityRig rig;
   ASSERT_TRUE(rig.ready()) << rig.failure();
-  const std::vector<FrameId> free_frames = rig.kernel().free_list().ToVector();
+  const std::vector<FrameId> free_frames = rig.kernel().frame_pool().ToVector();
   ASSERT_FALSE(free_frames.empty());
   rig.frames().set_dirty(free_frames.front(), true);
   EXPECT_EQ(rig.CheckFirstLine(),
@@ -234,7 +234,7 @@ TEST(DetectionParityTest, ForgedDirtyHookDivergesFromTheModel) {
 TEST(DetectionParityTest, FreeHeadMovedToTheTailDivergesFromTheModel) {
   ParityRig rig;
   ASSERT_TRUE(rig.ready()) << rig.failure();
-  ASSERT_GE(rig.kernel().free_list().size(), 2);
+  ASSERT_GE(rig.kernel().frame_pool().size(), 2);
   rig.free_list().PushTail(rig.free_list().PopHeadFromNode(0));
   EXPECT_EQ(rig.CheckFirstLine(),
             "invariant oracle violated at t=164145000ns: "
@@ -296,7 +296,7 @@ TEST(DetectionParityTest, InjectedBitmapFlipOnSeedOneIsCaughtAtTheSameEvent) {
 TEST(DetectionParityTest, FreeListLinkCycleIsReportedNotWalkedForever) {
   ParityRig rig;
   ASSERT_TRUE(rig.ready()) << rig.failure();
-  const std::vector<FrameId> free_frames = rig.kernel().free_list().ToVector();
+  const std::vector<FrameId> free_frames = rig.kernel().frame_pool().ToVector();
   ASSERT_GE(free_frames.size(), 2u);
   rig.free_list().PushHead(free_frames.back());
   EXPECT_EQ(rig.CheckFirstLine(),

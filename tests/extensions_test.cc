@@ -87,6 +87,45 @@ TEST(TraceTest, KernelTracingSamplesFreeMemory) {
   EXPECT_GE(rss_summary.final, 15.0);
 }
 
+TEST(TraceTest, SamplingPostsNoEventAndStopsAtTheRunsEnd) {
+  // The same script untraced and traced: sampling reads the run between
+  // events, so both execute the same events and end at the same time, and
+  // the rows sit on the period's boundaries up to that time.
+  constexpr SimDuration kPeriod = 3 * kMsec;
+  struct Run {
+    uint64_t events = 0;
+    SimTime end = 0;
+    std::vector<TraceSample> samples;
+  };
+  auto run = [](bool traced) {
+    Kernel kernel(TestMachine(32));
+    kernel.StartDaemons();
+    AddressSpace* as = MakeSwapAs(kernel, "app", 24);
+    if (traced) {
+      kernel.StartTracing(kPeriod);
+    }
+    std::vector<Op> ops;
+    for (VPage p = 0; p < 24; ++p) {
+      ops.push_back(Op::Touch(p, p % 3 == 0, 2 * kMsec));
+    }
+    ScriptProgram program(ops);
+    Thread* t = kernel.Spawn("t", as, &program);
+    EXPECT_TRUE(kernel.RunUntilThreadsDone({t}));
+    return Run{kernel.event_queue().ExecutedCount(), kernel.Now(), kernel.trace().samples()};
+  };
+  const Run untraced = run(false);
+  const Run traced = run(true);
+  EXPECT_TRUE(untraced.samples.empty());
+  EXPECT_EQ(traced.events, untraced.events);
+  EXPECT_EQ(traced.end, untraced.end);
+  ASSERT_GT(traced.samples.size(), 3u);
+  for (size_t i = 0; i < traced.samples.size(); ++i) {
+    EXPECT_EQ(traced.samples[i].when, static_cast<SimTime>(i) * kPeriod);
+  }
+  EXPECT_LE(traced.samples.back().when, traced.end);
+  EXPECT_GE(traced.samples.back().when + kPeriod, traced.end);
+}
+
 TEST(TraceTest, ExperimentTracePopulatedOnRequest) {
   ExperimentSpec spec;
   spec.machine.user_memory_bytes = static_cast<int64_t>(7.5 * 1024 * 1024);

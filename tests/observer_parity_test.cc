@@ -1,10 +1,11 @@
-// Observer parity: no sink of the kernel's observer stream may change the
-// run. Each pinned fuzz seed runs three ways — unchecked, with the
-// InvariantChecker attached at tmh_fuzz's structural-pass cadence, and with
-// the recorder installed (observe) — and all three must hash to one Digest,
-// sim_events included. A checker that moved the kernel onto a different
-// dispatch path would check a run that never ships; this is the test that
-// says it does not.
+// Observer parity: no observer of the kernel may change the run. Each pinned
+// fuzz seed runs four ways — unchecked, with the InvariantChecker attached at
+// tmh_fuzz's structural-pass cadence, with the recorder installed (observe),
+// and with the time series sampled every 10 ms (trace_period) — and all four
+// must hash to one Digest, sim_events included. A checker that moved the
+// kernel onto a different dispatch path would check a run that never ships,
+// and a sampler that posted events would trace one; this is the test that
+// says neither does.
 
 #include <gtest/gtest.h>
 
@@ -15,7 +16,7 @@ namespace tmh {
 namespace {
 
 // Runs `scenario` unchecked, checked at tmh_fuzz's structural-pass cadence,
-// and observed, and requires one Digest across all three.
+// observed, and traced, and requires one Digest across all four.
 void ExpectObserverParity(const Scenario& scenario) {
   const MultiExperimentSpec spec = ToSpec(scenario);
 
@@ -27,17 +28,23 @@ void ExpectObserverParity(const Scenario& scenario) {
   MultiExperimentSpec observed_spec = spec;
   observed_spec.observe = true;
   const MultiExperimentResult observed = RunMultiExperiment(observed_spec);
+  MultiExperimentSpec traced_spec = spec;
+  traced_spec.trace_period = 10 * kMsec;
+  const MultiExperimentResult traced = RunMultiExperiment(traced_spec);
 
   ASSERT_TRUE(unchecked.completed) << Describe(scenario);
   ASSERT_TRUE(checked.check_failure.empty())
       << checked.check_failure << "\nreplay: tmh_fuzz --seed " << scenario.seed;
   EXPECT_GT(checked.checks_run, 0u);
   EXPECT_FALSE(observed.event_log.events().empty());
+  EXPECT_FALSE(traced.trace.empty());
 
   EXPECT_EQ(checked.sim_events, unchecked.sim_events);
   EXPECT_EQ(observed.sim_events, unchecked.sim_events);
   EXPECT_EQ(Digest(checked), Digest(unchecked)) << Describe(scenario);
   EXPECT_EQ(Digest(observed), Digest(unchecked)) << Describe(scenario);
+  EXPECT_EQ(traced.sim_events, unchecked.sim_events);
+  EXPECT_EQ(Digest(traced), Digest(unchecked)) << Describe(scenario);
 }
 
 class ObserverParityTest : public ::testing::TestWithParam<uint64_t> {};

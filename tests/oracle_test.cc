@@ -137,7 +137,7 @@ TEST(Eq1Test, PublishedHeaderMatchesOracleRecomputation) {
   const int64_t expected =
       std::max<int64_t>(0, std::min(kernel.config().tunables.maxrss_pages,
                                     as->page_table().resident_count() +
-                                        kernel.free_list().size() -
+                                        kernel.frame_pool().size() -
                                         kernel.config().tunables.min_freemem_pages));
   EXPECT_EQ(as->bitmap()->current_usage(), as->page_table().resident_count());
   EXPECT_EQ(as->bitmap()->upper_limit(), expected);
@@ -190,7 +190,7 @@ TEST(Eq1Test, MinFreememFloorClampsUpperLimitToZero) {
   ASSERT_TRUE(checker.ok()) << checker.failure();
 
   // 14 of 16 frames resident: resident(small)=2, free=2, min_freemem=4.
-  ASSERT_EQ(kernel.free_list().size(), 2);
+  ASSERT_EQ(kernel.frame_pool().size(), 2);
   EXPECT_EQ(small->bitmap()->upper_limit(), 0);
   EXPECT_EQ(checker.oracle().UpperLimit(small->id()), 0);
   EXPECT_TRUE(checker.CheckNow(kernel)) << checker.failure();

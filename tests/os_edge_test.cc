@@ -31,7 +31,7 @@ TEST(OsEdgeTest, ReallocationBreaksStaleRescueIdentity) {
   ASSERT_TRUE(kernel.RunUntilThreadsDone({ta}));
   ASSERT_FALSE(a->page_table().at(0).resident);
   const FrameId freed_frame = a->page_table().at(0).frame;
-  ASSERT_TRUE(kernel.free_list().Contains(freed_frame));
+  ASSERT_TRUE(kernel.frame_pool().Contains(freed_frame));
 
   // B touches exactly as many pages as there are frames, so every free frame
   // — including the tail one holding A's data — is reallocated; it then

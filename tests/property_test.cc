@@ -339,7 +339,7 @@ TEST_P(FrameConservationTest, FramesNeverLeakOrDuplicate) {
   int64_t mapped = 0;
   for (FrameId f = 0; f < kernel.frames().size(); ++f) {
     const Frame& frame = kernel.frames().at(f);
-    EXPECT_FALSE(frame.mapped && kernel.free_list().Contains(f))
+    EXPECT_FALSE(frame.mapped && kernel.frame_pool().Contains(f))
         << "frame " << f << " is both mapped and free";
     mapped += frame.mapped ? 1 : 0;
   }

@@ -118,7 +118,7 @@ TEST(ScaleKernelTest, HomeNodeAllocationIsolation) {
     EXPECT_EQ(per_node[static_cast<size_t>(node)], 4u) << "node " << node;
   }
   // Every frame left on a node's free list belongs to that node's range.
-  const FramePool& pool = kernel.free_list();
+  const FramePool& pool = kernel.frame_pool();
   for (int node = 0; node < pool.num_nodes(); ++node) {
     for (const FrameId f : pool.NodeToVector(node)) {
       EXPECT_EQ(pool.NodeOf(f), node);
@@ -251,11 +251,11 @@ TEST(ScaleTest, TenMillionFrameKernelFitsFootprintBound) {
   ASSERT_EQ(machine.num_frames(), kTenMillion);
   Kernel kernel(machine);
   const int64_t bytes = kernel.frames().MemoryFootprintBytes() +
-                        kernel.free_list().MemoryFootprintBytes();
+                        kernel.frame_pool().MemoryFootprintBytes();
   // Documented bound: FrameTable ~13.6 B/frame + FramePool 8 B/frame < 24.
   EXPECT_LT(static_cast<double>(bytes) / static_cast<double>(kTenMillion), 24.0);
-  EXPECT_EQ(kernel.free_list().size(), kTenMillion);
-  EXPECT_EQ(kernel.free_list().num_nodes(), 8);
+  EXPECT_EQ(kernel.frame_pool().size(), kTenMillion);
+  EXPECT_EQ(kernel.frame_pool().num_nodes(), 8);
 }
 
 // Resident bytes of this process, from /proc/self/statm (0 if unreadable).
@@ -284,7 +284,7 @@ TEST(ScaleTest, TenMillionFrameKernelCommitsOnlyWhatItTouches) {
   Kernel kernel(machine);
   const int64_t committed = ResidentBytes() - before;
   EXPECT_LT(committed, int64_t{4} << 20) << committed << " bytes committed by construction";
-  const FramePool& pool = kernel.free_list();
+  const FramePool& pool = kernel.frame_pool();
   EXPECT_EQ(pool.size(), kTenMillion);
   for (int node = 0; node < pool.num_nodes(); ++node) {
     EXPECT_EQ(pool.head(node), pool.NodeBegin(node)) << "node " << node;

@@ -497,6 +497,28 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!flags.html_path.empty()) {
+    const std::string html = tmh::RenderKernelTraceHtml(
+        result.trace, info->name + " (" + tmh::VersionLabel(spec.version) + ")");
+    if (tmh::WriteHtmlFile(flags.html_path, html)) {
+      if (!flags.json) {
+        std::printf("HTML report written to %s\n", flags.html_path.c_str());
+      }
+    } else {
+      std::fprintf(stderr, "failed to write HTML to %s\n", flags.html_path.c_str());
+    }
+  }
+  if (!flags.trace_path.empty()) {
+    if (result.trace.WriteCsv(flags.trace_path)) {
+      if (!flags.json) {
+        std::printf("trace written to %s (%zu samples)\n", flags.trace_path.c_str(),
+                    result.trace.samples().size());
+      }
+    } else {
+      std::fprintf(stderr, "failed to write trace to %s\n", flags.trace_path.c_str());
+    }
+  }
+
   if (flags.json) {
     PrintJson(flags, *info, spec, result);
     return result.completed ? 0 : 1;
@@ -573,23 +595,6 @@ int main(int argc, char** argv) {
                 tmh::FormatSeconds(im.mean_response_ns / 1e9).c_str(),
                 tmh::FormatSeconds(im.max_response_ns / 1e9).c_str(),
                 im.hard_faults_per_sweep);
-  }
-  if (!flags.html_path.empty()) {
-    const std::string html = tmh::RenderKernelTraceHtml(
-        result.trace, info->name + " (" + tmh::VersionLabel(spec.version) + ")");
-    if (tmh::WriteHtmlFile(flags.html_path, html)) {
-      std::printf("\nHTML report written to %s\n", flags.html_path.c_str());
-    } else {
-      std::fprintf(stderr, "failed to write HTML to %s\n", flags.html_path.c_str());
-    }
-  }
-  if (!flags.trace_path.empty()) {
-    if (result.trace.WriteCsv(flags.trace_path)) {
-      std::printf("\ntrace written to %s (%zu samples)\n", flags.trace_path.c_str(),
-                  result.trace.samples().size());
-    } else {
-      std::fprintf(stderr, "failed to write trace to %s\n", flags.trace_path.c_str());
-    }
   }
   return 0;
 }
