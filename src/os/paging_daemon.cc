@@ -1,8 +1,10 @@
 #include "src/os/paging_daemon.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/os/kernel.h"
+#include "src/vm/frame_table.h"
 
 namespace tmh {
 
@@ -101,66 +103,77 @@ AddressSpace* PagingDaemon::GatherBatch(AddressSpace* filter) {
   return nullptr;
 }
 
+ClockPass GatherClockBatch(const FrameTable& frames, int64_t begin, int64_t end, int64_t hand,
+                           AsId filter, int batch_limit, std::vector<FrameId>* batch) {
+  batch->clear();
+  ClockPass pass;
+  pass.hand = hand;
+  const uint64_t* mapped = frames.mapped_words();
+  const uint64_t* io_busy = frames.io_busy_words();
+  // One lap is two linear segments, [hand, end) then [begin, hand); `passed`
+  // accumulates the frames of each segment finished.
+  for (int segment = 0; segment < 2; ++segment) {
+    const int64_t lo = segment == 0 ? hand : begin;
+    const int64_t hi = segment == 0 ? end : hand;
+    if (lo >= hi) {
+      continue;
+    }
+    int64_t w = lo >> 6;
+    const int64_t last = (hi - 1) >> 6;
+    // Candidates of the current word, bits below `lo` (and at or above `hi`,
+    // in the last word) masked off.
+    uint64_t bits = (mapped[w] & ~io_busy[w]) & (~0ULL << (lo & 63));
+    while (true) {
+      if (w == last) {
+        bits &= ~0ULL >> (63 - ((hi - 1) & 63));
+      }
+      while (bits != 0) {
+        const int64_t f = (w << 6) + std::countr_zero(bits);
+        bits &= bits - 1;
+        const AsId as = frames.owner(static_cast<FrameId>(f));
+        if (filter != kNoAs && as != filter) {
+          continue;
+        }
+        if (batch->empty()) {
+          pass.owner = as;
+        } else if (as != pass.owner) {
+          // Stop the batch at the owner boundary; rewind so this frame is next.
+          pass.hand = f;
+          pass.passed += f - lo;
+          return pass;
+        }
+        batch->push_back(static_cast<FrameId>(f));
+        if (static_cast<int>(batch->size()) >= batch_limit) {
+          pass.hand = f + 1 == end ? begin : f + 1;
+          pass.passed += f + 1 - lo;
+          return pass;
+        }
+      }
+      if (w == last) {
+        break;
+      }
+      // Words with no candidate cost one load each.
+      do {
+        ++w;
+      } while (w < last && (mapped[w] & ~io_busy[w]) == 0);
+      bits = mapped[w] & ~io_busy[w];
+    }
+    pass.passed += hi - lo;
+  }
+  return pass;
+}
+
 AddressSpace* PagingDaemon::GatherBatchFromNode(AddressSpace* filter, int node) {
   Kernel& k = *kernel_;
-  // The hand is confined to this node's frame range [base, end): per-node
-  // clock aging, so one node's pressure never ages another node's frames.
-  const int64_t base = k.frame_pool_.NodeBegin(node);
-  const int64_t end = k.frame_pool_.NodeEnd(node);
-  const int64_t n = end - base;
-  int64_t& clock_hand = clock_hands_[static_cast<size_t>(node)];
-  batch_.clear();
-  AddressSpace* owner = nullptr;
-  const int batch_limit = k.config_.tunables.daemon_batch;
-  // Word-parallel clock hand: one `mapped & ~io_busy` word from the frame
-  // table's bit planes classifies 64 frames, and ctz jumps the hand straight
-  // to the next candidate. Semantics are identical to the frame-at-a-time
-  // loop this replaces — `scanned_this_round_` still counts every frame the
-  // hand passes over (skips included), the batch still stops at an owner
-  // boundary with the hand rewound onto the boundary frame, and at most one
-  // full lap of the node is taken per call.
-  const uint64_t* mapped = k.frames_.mapped_words();
-  const uint64_t* io_busy = k.frames_.io_busy_words();
-  int64_t steps = 0;  // frames consumed this call, skips included
-  while (steps < n) {
-    const int64_t hand = clock_hand;
-    const int bit = static_cast<int>(hand & 63);
-    // Frames examinable in this word: bounded by the word edge, the node end
-    // (the hand wraps there), and the one-lap step budget.
-    const int64_t max_here = std::min<int64_t>(64 - bit, std::min(end - hand, n - steps));
-    uint64_t cand = (mapped[hand >> 6] & ~io_busy[hand >> 6]) >> bit;
-    if (max_here < 64) {
-      cand &= (1ULL << max_here) - 1;
-    }
-    if (cand == 0) {
-      clock_hand = base + (hand - base + max_here) % n;
-      steps += max_here;
-      scanned_this_round_ += max_here;
-      continue;
-    }
-    const int64_t skip = __builtin_ctzll(cand);
-    const auto f = static_cast<FrameId>(hand + skip);
-    clock_hand = base + (hand - base + skip + 1) % n;
-    steps += skip + 1;
-    scanned_this_round_ += skip + 1;
-    AddressSpace* as = k.address_spaces_[static_cast<size_t>(k.frames_.owner(f))].get();
-    if (filter != nullptr && as != filter) {
-      continue;
-    }
-    if (owner == nullptr) {
-      owner = as;
-    } else if (as != owner) {
-      // Stop the batch at the owner boundary; rewind so this frame is next.
-      clock_hand = static_cast<int64_t>(f);
-      --scanned_this_round_;
-      break;
-    }
-    batch_.push_back(f);
-    if (static_cast<int>(batch_.size()) >= batch_limit) {
-      break;
-    }
-  }
-  return batch_.empty() ? nullptr : owner;
+  // The hand is confined to this node's frame range: per-node clock aging, so
+  // one node's pressure never ages another node's frames.
+  int64_t& hand = clock_hands_[static_cast<size_t>(node)];
+  const ClockPass pass = GatherClockBatch(
+      k.frames_, k.frame_pool_.NodeBegin(node), k.frame_pool_.NodeEnd(node), hand,
+      filter == nullptr ? kNoAs : filter->id(), k.config_.tunables.daemon_batch, &batch_);
+  hand = pass.hand;
+  scanned_this_round_ += pass.passed;
+  return pass.owner == kNoAs ? nullptr : k.address_spaces_[static_cast<size_t>(pass.owner)].get();
 }
 
 SimDuration PagingDaemon::ProcessBatch() {

@@ -20,8 +20,28 @@
 
 namespace tmh {
 
+class FrameTable;
 class Kernel;
 class MemoryLock;
+
+// Where one clock pass over a node stopped and what it gathered.
+struct ClockPass {
+  AsId owner = kNoAs;  // owner of every frame in the batch; kNoAs if it is empty
+  int64_t hand = 0;    // the node's hand afterwards: the next frame to examine
+  int64_t passed = 0;  // frames the hand passed, skipped ones included
+};
+
+// One clock pass over the node whose frames are [begin, end), starting at
+// `hand` and taking at most one lap: fills `batch` (cleared first) with up to
+// `batch_limit` mapped, not io_busy frames of one owner, in hand order. With
+// `filter` != kNoAs only that owner's frames are eligible. The batch stops at
+// an owner boundary with the hand rewound onto the boundary frame, which is
+// not counted as passed, and the hand wraps from the node's end to its begin.
+// The lap runs as at most two linear segments, [hand, end) then [begin, hand):
+// words with no candidate cost one load each and candidates are drained with
+// ctz, so a pass costs the words it passes plus the candidates it visits.
+ClockPass GatherClockBatch(const FrameTable& frames, int64_t begin, int64_t end, int64_t hand,
+                           AsId filter, int batch_limit, std::vector<FrameId>* batch);
 
 class PagingDaemon : public Program {
  public:
@@ -50,7 +70,7 @@ class PagingDaemon : public Program {
   // `filter` is non-null only its frames are eligible (maxrss trimming).
   // Returns the owning address space, or nullptr if none found.
   AddressSpace* GatherBatch(AddressSpace* filter);
-  // One clock pass over `node`'s frame range (at most one lap).
+  // One clock pass over `node`'s frame range (GatherClockBatch).
   AddressSpace* GatherBatchFromNode(AddressSpace* filter, int node);
   // Invalidates or steals every frame in batch_ (owner's lock is held).
   // Returns the CPU cost of the work.

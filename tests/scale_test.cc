@@ -1,6 +1,6 @@
 // Datacenter-scale structure tests: the sharded frame pool, the per-node
-// allocation paths, the O(1) over-maxrss index, and the kernel's per-frame
-// memory footprint at 10^7 frames.
+// allocation paths, the O(1) over-maxrss index, the kernel's per-frame
+// memory footprint at 10^7 frames, and a pinned multi-node daemon storm.
 //
 // The unit tests pin the FramePool's contract (contiguous partition, wrap-
 // order fallback; vm_test pins the single-node list order); the kernel tests
@@ -13,6 +13,8 @@
 
 #include <chrono>
 #include <cstdio>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -321,6 +323,110 @@ TEST(ScaleTest, PoolOpsStayConstantTimeAtTenMillionFrames) {
   const double elapsed = NowSeconds() - start;
   EXPECT_LT(elapsed, 5.0) << "per-frame ops are not O(1)";
   EXPECT_EQ(pool.size(), kTenMillion);
+}
+
+// --- multi-node reclaim pin --------------------------------------------------
+
+// Sleeps `arrival`, then touches its pages front to back `laps` times.
+class LapToucher : public Program {
+ public:
+  LapToucher(VPage pages, int laps, SimDuration arrival)
+      : pages_(pages), laps_(laps), arrival_(arrival) {}
+
+  Op Next(Kernel&) override {
+    if (arrival_ > 0) {
+      const SimDuration d = arrival_;
+      arrival_ = 0;
+      return Op::Sleep(d);
+    }
+    if (page_ == pages_) {
+      page_ = 0;
+      if (++lap_ == laps_) {
+        return Op::Exit();
+      }
+    }
+    return Op::Touch(page_++, /*write=*/false, 0);
+  }
+
+ private:
+  const VPage pages_;
+  const int laps_;
+  SimDuration arrival_;
+  VPage page_ = 0;
+  int lap_ = 0;
+};
+
+// FNV-1a over 64-bit values.
+class Fnv {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ull;
+    }
+  }
+  [[nodiscard]] uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+// A daemon storm shaped like perfbench's smoke one: 16 tenants of 2048 pages
+// on a 2^18-frame, 8-node machine, free memory pinned below min_freemem and
+// maxrss at half the working set, so the per-node clock hands and the
+// over-maxrss hunt run throughout: the smoke storm gathers about 26K
+// batches, about 740 of them for a hunt, and about 200 passes lap a node
+// without finding one. Which frames a batch holds, where a hand stops and how
+// many frames a pass counts all move a kernel stat, a tenant's times or a
+// node's allocations, so the digest pins the multi-node reclaim path.
+TEST(ScaleTest, MultiNodeDaemonStormMatchesPinnedDigest) {
+  constexpr int64_t kFrames = int64_t{1} << 18;
+  constexpr int kTenants = 16;
+  constexpr VPage kPages = 2048;
+  MachineConfig machine;
+  machine.page_size_bytes = 4 * 1024;
+  machine.user_memory_bytes = kFrames * machine.page_size_bytes;
+  machine.num_nodes = 8;
+  machine.tunables.min_freemem_pages = kFrames - kTenants * kPages / 2;
+  machine.tunables.target_freemem_pages = kFrames - kTenants * kPages / 4;
+  machine.tunables.maxrss_pages = kPages / 2;
+  Kernel kernel(machine);
+  kernel.StartDaemons();
+  std::vector<std::unique_ptr<LapToucher>> programs;
+  std::vector<Thread*> threads;
+  uint64_t x = 0x2545f4914f6cdd1dULL;
+  for (int i = 0; i < kTenants; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const std::string name = "t" + std::to_string(i);
+    AddressSpace* as = kernel.CreateAddressSpace(name, kPages * machine.page_size_bytes);
+    as->AddRegion(Region{"data", 0, kPages, Backing::kZeroFill});
+    programs.push_back(std::make_unique<LapToucher>(
+        kPages, /*laps=*/2, static_cast<SimDuration>(x % static_cast<uint64_t>(kMsec))));
+    threads.push_back(kernel.Spawn(name, as, programs.back().get()));
+  }
+  ASSERT_TRUE(kernel.RunUntilThreadsDone(threads));
+
+  const KernelStats& stats = kernel.stats();
+  EXPECT_GT(stats.daemon_pages_stolen, 0u);
+  Fnv digest;
+#define TMH_DIGEST_STAT(field) digest.Add(stats.field);
+  TMH_KERNEL_STATS(TMH_DIGEST_STAT)
+#undef TMH_DIGEST_STAT
+  for (const Thread* t : threads) {
+    const TimeBreakdown& times = t->times();
+    for (const SimDuration d :
+         {times.user, times.system, times.resource_stall, times.io_stall, times.sleep}) {
+      digest.Add(static_cast<uint64_t>(d));
+    }
+  }
+  for (const uint64_t n : kernel.node_allocations()) {
+    digest.Add(n);
+  }
+  EXPECT_EQ(digest.value(), 0xcd6747b7a40ca5b7ull) << std::hex << digest.value() << std::dec
+                                    << " stolen=" << stats.daemon_pages_stolen
+                                    << " invalidations=" << stats.daemon_invalidations
+                                    << " activations=" << stats.daemon_activations;
 }
 
 }  // namespace
