@@ -6,6 +6,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/compiler/compile.h"
@@ -88,8 +89,10 @@ void BM_DaemonClockPass(benchmark::State& state) {
   // kernel_storms-shaped node: 1.25M frames, the low 4% mapped by 12 owners
   // interleaved in runs of about two frames, ~6% of those io_busy, the rest
   // empty. Passes run back to back from the hand the last one left, batch
-  // limit 96, with the over-maxrss filter off (arg 0) or hunting owner 0
-  // (arg 1); items = frames the hand passed.
+  // limit 96, with the over-maxrss filter off (first arg 0) or hunting owner
+  // 0 (1), unbounded (second arg 0) or bounded at the mapped top as the
+  // daemon bounds it at the node's high-water mark (1); items = frames the
+  // hand passed.
   constexpr int64_t kFrames = 1'250'000;
   FrameTable table(kFrames);
   Rng rng(3);
@@ -103,11 +106,13 @@ void BM_DaemonClockPass(benchmark::State& state) {
     table.set_io_busy(f, rng.NextBelow(16) == 0);
   }
   const AsId filter = state.range(0) == 0 ? kNoAs : 0;
+  const int64_t bound = state.range(1) == 0 ? kFrames : kFrames / 25;
   std::vector<FrameId> batch;
   int64_t hand = 0;
   int64_t passed = 0;
   for (auto _ : state) {
-    const ClockPass pass = GatherClockBatch(table, 0, kFrames, hand, filter, 96, &batch);
+    const ClockPass pass =
+        GatherClockBatch(table, 0, kFrames, hand, filter, 96, &batch, bound);
     hand = pass.hand;
     passed += pass.passed;
     benchmark::DoNotOptimize(batch.data());
@@ -115,7 +120,7 @@ void BM_DaemonClockPass(benchmark::State& state) {
   }
   state.SetItemsProcessed(passed);
 }
-BENCHMARK(BM_DaemonClockPass)->Arg(0)->Arg(1);
+BENCHMARK(BM_DaemonClockPass)->Args({0, 0})->Args({1, 0})->Args({0, 1})->Args({1, 1});
 
 void BM_FrameTablePerFrameScan(benchmark::State& state) {
   // A frame-at-a-time scan via per-frame accessor calls (no word-level
@@ -177,12 +182,23 @@ void BM_CompilerPass(benchmark::State& state) {
 BENCHMARK(BM_CompilerPass);
 
 void BM_InterpreterThroughput(benchmark::State& state) {
-  // How fast the interpreter walks a paper-scale streaming nest (ops/sec
-  // bounds how large an experiment is practical).
-  const SourceProgram source = MakeEmbar(1.0);
-  const CompilerTarget target;
-  const CompiledProgram program = Compile(source, target, CompileOptions{false, false});
+  // How fast the interpreter hands ops to the kernel (ops/sec bounds how large
+  // an experiment is practical). Arg 0: a paper-scale EMBAR O, a streaming
+  // nest with no hints. Arg 1: the Figure-7 grid's op shape, CGM P at scale
+  // 0.01 drained through a real RuntimeLayer as OpStreamPinTest sets it up
+  // (every third page resident, the kernel never runs): one-iteration
+  // indirect steps with hints on every iteration. Items = ops.
+  const bool grid_shape = state.range(0) == 1;
+  constexpr double kGridScale = 0.01;
   MachineConfig machine;
+  if (grid_shape) {
+    machine.user_memory_bytes =
+        static_cast<int64_t>(static_cast<double>(machine.user_memory_bytes) * kGridScale);
+  }
+  const SourceProgram source = grid_shape ? MakeCgm(kGridScale) : MakeEmbar(1.0);
+  const CompiledProgram program =
+      grid_shape ? CompileVersion(source, machine, AppVersion::kPrefetch)
+                 : Compile(source, CompilerTarget{}, CompileOptions{false, false});
   for (auto _ : state) {
     Kernel kernel(machine);
     AddressSpace* as = kernel.CreateAddressSpace(
@@ -190,7 +206,15 @@ void BM_InterpreterThroughput(benchmark::State& state) {
     as->AddRegion(Region{"data", 0, program.layout.total_pages(), Backing::kSwap});
     as->AddRegion(Region{"text", program.layout.total_pages(), source.text_pages,
                          Backing::kZeroFill});
-    Interpreter interp(&program, as, nullptr);
+    std::unique_ptr<RuntimeLayer> runtime;
+    if (grid_shape) {
+      as->AttachPagingDirected(0, as->num_pages());
+      runtime = std::make_unique<RuntimeLayer>(&kernel, as, RuntimeOptions{});
+      for (VPage page = 0; page < as->num_pages(); page += 3) {
+        as->bitmap()->Set(page);
+      }
+    }
+    Interpreter interp(&program, as, runtime.get());
     int64_t ops = 0;
     while (interp.Next(kernel).kind != Op::Kind::kExit) {
       ++ops;
@@ -198,7 +222,7 @@ void BM_InterpreterThroughput(benchmark::State& state) {
     state.SetItemsProcessed(state.items_processed() + ops);
   }
 }
-BENCHMARK(BM_InterpreterThroughput)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InterpreterThroughput)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_RuntimeHintFiltering(benchmark::State& state) {
   // The hint-check fast path: CGM issues tens of millions of these.

@@ -134,11 +134,11 @@ void InvariantChecker::BuildReleaseQueue(Kernel& kernel) {
 // Three passes over state the kernel already keeps: the free-list links, the
 // frame bit planes (64 frames per step), and each page table once. The first
 // violation is reported in a fixed order (DetectionParityTest pins it): I-FL;
-// I-FT/I-ONE by frame; per address space I-PT/I-RL/I-TIER/I-RQ by page, the
-// resident recount, then I-BM; the tier planes; the oracle. The oracle
-// comparisons ride along in the three passes and are held back until every
-// structural check has passed. Messages are built only on failure, so a
-// clean sweep allocates nothing.
+// I-FT/I-ONE by frame, then I-ONE at each node's high-water mark; per address
+// space I-PT/I-RL/I-TIER/I-RQ by page, the resident recount, then I-BM; the
+// tier planes; the oracle. The oracle comparisons ride along in the three
+// passes and are held back until every structural check has passed. Messages
+// are built only on failure, so a clean sweep allocates nothing.
 void InvariantChecker::Validate(Kernel& kernel) {
   const SimTime now = kernel.Now();
   const FrameTable& frames = kernel.frames();
@@ -289,6 +289,26 @@ void InvariantChecker::Validate(Kernel& kernel) {
         oracle_dirty = "frame " + std::to_string(base + b) + " dirty bit is " +
                        (kernel_dirty ? "set" : "clear") + " but the model has it " +
                        (kernel_dirty ? "clear" : "set");
+      }
+    }
+  }
+  // I-ONE at the high-water marks: a node's frames at or above its mark never
+  // left its free list, so none is mapped or io-busy. The daemon's clock pass
+  // does not load them, so a frame in use there would never be reclaimed.
+  for (int node = 0; node < pool.num_nodes(); ++node) {
+    const int64_t lo = pool.high_water(node);
+    const int64_t hi = pool.NodeEnd(node);
+    for (int64_t w = lo >> 6; lo < hi && w <= (hi - 1) >> 6; ++w) {
+      uint64_t bits = mapped[w] | io_busy[w];
+      if (w == lo >> 6) bits &= ~uint64_t{0} << (lo & 63);
+      if (w == (hi - 1) >> 6) bits &= ~uint64_t{0} >> (63 - ((hi - 1) & 63));
+      if (bits != 0) {
+        const FrameId f = static_cast<FrameId>((w << 6) + std::countr_zero(bits));
+        Fail(now, "I-ONE",
+             "frame " + std::to_string(f) + " is " + (frames.mapped(f) ? "mapped" : "io-busy") +
+                 " at or above node " + std::to_string(node) + "'s high-water mark " +
+                 std::to_string(lo));
+        return;
       }
     }
   }

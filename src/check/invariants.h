@@ -20,8 +20,10 @@
 //   I-PT    page table -> frame table: every resident PTE's frame is mapped
 //           with the matching identity; the per-AS resident_count() equals a
 //           recount. Catches leaked/duplicated residency accounting.
-//   I-ONE   every frame is exactly one of {free-listed, mapped, io-busy}.
-//           Catches frame leaks (limbo frames) and double-ownership.
+//   I-ONE   every frame is exactly one of {free-listed, mapped, io-busy}, and
+//           none at or above its node's FramePool::high_water is mapped or
+//           io-busy. Catches frame leaks (limbo frames), double-ownership,
+//           and frames the bounded daemon clock pass would never reach.
 //   I-BM    residency bitmap (PagingDirected ASes, materialized pages only):
 //           bit set iff the page holds an allocated frame — resident and not
 //           release-pending, or a page-in is in flight. Catches missed

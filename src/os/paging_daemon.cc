@@ -104,28 +104,35 @@ AddressSpace* PagingDaemon::GatherBatch(AddressSpace* filter) {
 }
 
 ClockPass GatherClockBatch(const FrameTable& frames, int64_t begin, int64_t end, int64_t hand,
-                           AsId filter, int batch_limit, std::vector<FrameId>* batch) {
+                           AsId filter, int batch_limit, std::vector<FrameId>* batch,
+                           int64_t bound) {
   batch->clear();
   ClockPass pass;
   pass.hand = hand;
   const uint64_t* mapped = frames.mapped_words();
   const uint64_t* io_busy = frames.io_busy_words();
   // One lap is two linear segments, [hand, end) then [begin, hand); `passed`
-  // accumulates the frames of each segment finished.
+  // accumulates the frames of each segment finished. Only [lo, top) is
+  // loaded: the frames from `bound` on hold no candidate.
   for (int segment = 0; segment < 2; ++segment) {
     const int64_t lo = segment == 0 ? hand : begin;
     const int64_t hi = segment == 0 ? end : hand;
+    const int64_t top = std::min(hi, bound);
     if (lo >= hi) {
       continue;
     }
+    if (lo >= top) {
+      pass.passed += hi - lo;
+      continue;
+    }
     int64_t w = lo >> 6;
-    const int64_t last = (hi - 1) >> 6;
-    // Candidates of the current word, bits below `lo` (and at or above `hi`,
+    const int64_t last = (top - 1) >> 6;
+    // Candidates of the current word, bits below `lo` (and at or above `top`,
     // in the last word) masked off.
     uint64_t bits = (mapped[w] & ~io_busy[w]) & (~0ULL << (lo & 63));
     while (true) {
       if (w == last) {
-        bits &= ~0ULL >> (63 - ((hi - 1) & 63));
+        bits &= ~0ULL >> (63 - ((top - 1) & 63));
       }
       while (bits != 0) {
         const int64_t f = (w << 6) + std::countr_zero(bits);
@@ -170,7 +177,8 @@ AddressSpace* PagingDaemon::GatherBatchFromNode(AddressSpace* filter, int node) 
   int64_t& hand = clock_hands_[static_cast<size_t>(node)];
   const ClockPass pass = GatherClockBatch(
       k.frames_, k.frame_pool_.NodeBegin(node), k.frame_pool_.NodeEnd(node), hand,
-      filter == nullptr ? kNoAs : filter->id(), k.config_.tunables.daemon_batch, &batch_);
+      filter == nullptr ? kNoAs : filter->id(), k.config_.tunables.daemon_batch, &batch_,
+      k.frame_pool_.high_water(node));
   hand = pass.hand;
   scanned_this_round_ += pass.passed;
   return pass.owner == kNoAs ? nullptr : k.address_spaces_[static_cast<size_t>(pass.owner)].get();

@@ -40,8 +40,12 @@ struct ClockPass {
 // The lap runs as at most two linear segments, [hand, end) then [begin, hand):
 // words with no candidate cost one load each and candidates are drained with
 // ctz, so a pass costs the words it passes plus the candidates it visits.
+// `bound` promises that no frame in [bound, end) is a candidate (the daemon
+// passes the node's FramePool::high_water): those frames count as passed
+// without being loaded, so the batch, hand and count are the unbounded pass's.
 ClockPass GatherClockBatch(const FrameTable& frames, int64_t begin, int64_t end, int64_t hand,
-                           AsId filter, int batch_limit, std::vector<FrameId>* batch);
+                           AsId filter, int batch_limit, std::vector<FrameId>* batch,
+                           int64_t bound);
 
 class PagingDaemon : public Program {
  public:

@@ -60,7 +60,11 @@ class WaitQueue {
   uint64_t pending_signals_ = 0;
 };
 
-// One operation emitted by a Program.
+// One operation emitted by a Program. Ops pass by value from every
+// Program::Next to Kernel::RunSlice, one per interpreter step, so the layout
+// is held to 48 bytes: the op kind selects the one pointer it reads (`as` for
+// touch, prefetch and release; `wait`; `lock`), and the small fields share
+// the first 16 bytes (docs/INTERNALS.md §4).
 struct Op {
   enum class Kind : uint8_t {
     kCompute,      // burn `duration` of user time
@@ -75,32 +79,47 @@ struct Op {
     kExit,         // program finished
   };
 
+  // `kind` leads: every consumer reads it first. The same 48 bytes with `kind`
+  // in the last word ran the Figure-7 grid slower than the 72-byte struct
+  // did (docs/INTERNALS.md §4).
   Kind kind = Kind::kCompute;
+  bool is_write = false;  // touch: store vs load
+  int32_t priority = 0;   // release: Eq. 2 reuse priority
+  int32_t tag = -1;       // release: compiler-generated request identifier
   SimDuration duration = 0;
   VPage vpage = kNoVPage;
-  int64_t count = 1;          // release: number of pages
-  bool is_write = false;      // touch: store vs load
-  int32_t priority = 0;       // release: Eq. 2 reuse priority
-  int32_t tag = -1;           // release: compiler-generated request identifier
-  WaitQueue* wait = nullptr;
-  MemoryLock* lock = nullptr;
-  AddressSpace* as = nullptr;  // target address space (defaults to thread's own)
+  int64_t count = 1;  // release: number of pages
+  union {
+    AddressSpace* as = nullptr;  // touch/prefetch/release target (nullptr: the thread's own)
+    WaitQueue* wait;             // kWait
+    MemoryLock* lock;            // kAcquireLock, kReleaseLock
+  };
 
-  static Op Compute(SimDuration d) { return Op{.kind = Kind::kCompute, .duration = d}; }
-  static Op Touch(VPage p, bool write, SimDuration d) {
-    return Op{.kind = Kind::kTouch, .duration = d, .vpage = p, .is_write = write};
+  // Every factory names the pointer slot; GCC's -Wmissing-field-initializers
+  // does not count the union's default as an initializer.
+  static Op Compute(SimDuration d) {
+    return Op{.kind = Kind::kCompute, .duration = d, .as = nullptr};
   }
-  static Op Sleep(SimDuration d) { return Op{.kind = Kind::kSleep, .duration = d}; }
-  static Op Prefetch(VPage p) { return Op{.kind = Kind::kPrefetch, .vpage = p}; }
+  static Op Touch(VPage p, bool write, SimDuration d) {
+    return Op{.kind = Kind::kTouch, .is_write = write, .duration = d, .vpage = p, .as = nullptr};
+  }
+  static Op Sleep(SimDuration d) { return Op{.kind = Kind::kSleep, .duration = d, .as = nullptr}; }
+  static Op Prefetch(VPage p) { return Op{.kind = Kind::kPrefetch, .vpage = p, .as = nullptr}; }
   static Op Release(VPage p, int64_t n, int32_t prio, int32_t tag) {
-    return Op{.kind = Kind::kRelease, .vpage = p, .count = n, .priority = prio, .tag = tag};
+    return Op{.kind = Kind::kRelease,
+              .priority = prio,
+              .tag = tag,
+              .vpage = p,
+              .count = n,
+              .as = nullptr};
   }
   static Op Wait(WaitQueue* q) { return Op{.kind = Kind::kWait, .wait = q}; }
   static Op Acquire(MemoryLock* l) { return Op{.kind = Kind::kAcquireLock, .lock = l}; }
   static Op ReleaseL(MemoryLock* l) { return Op{.kind = Kind::kReleaseLock, .lock = l}; }
-  static Op Yield() { return Op{.kind = Kind::kYield}; }
-  static Op Exit() { return Op{.kind = Kind::kExit}; }
+  static Op Yield() { return Op{.kind = Kind::kYield, .as = nullptr}; }
+  static Op Exit() { return Op{.kind = Kind::kExit, .as = nullptr}; }
 };
+static_assert(sizeof(Op) == 48, "Op travels by value on every interpreter step");
 
 // A resumable generator of Ops. Next() is called only when the previous Op has
 // fully completed, so implementations advance their internal state in Next().

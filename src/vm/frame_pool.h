@@ -18,6 +18,11 @@
 // The encoding is a bijection on 32-bit values, so every operation links and
 // unlinks the same frames in the same order as plain indices would.
 //
+// Each node keeps a high-water mark: one past the highest of its frames that
+// ever left its free list (pop or rescue). A booted node's frames at or above
+// the mark have been free since boot, so the paging daemon's clock pass does
+// not load them (GatherClockBatch) and the checker holds them unmapped.
+//
 // Allocation prefers the caller's home node and falls back to the nearest
 // (by index, wrapping) non-empty node. The fallback is O(1): a 64-bit
 // occupancy mask rotated so the home node is bit 0, then countr_zero. This
@@ -46,25 +51,31 @@ class FramePool {
  public:
   static constexpr int kMaxNodes = 64;
 
-  // An empty pool: every frame unlinked.
+  // An empty pool: every frame unlinked, so every frame counts as having left
+  // its list (each node's high-water mark starts at NodeEnd).
   FramePool(int64_t num_frames, int num_nodes) : FramePool(num_frames, num_nodes, Zeroed{}) {
     for (FrameId id = 0; id < num_frames_; ++id) {
       SetPrev(id, kUnlinked);
       SetNext(id, kUnlinked);
     }
+    for (int node = 0; node < num_nodes_; ++node) {
+      high_water_[static_cast<size_t>(node)] = NodeEnd(node);
+    }
   }
 
   // A freshly booted machine's pool: every frame free, each node's list its
   // own frame range in ascending order. Equal in every observable, counters
-  // included, to an empty pool after PushTail(0), ..., PushTail(n - 1).
+  // included, to an empty pool after PushTail(0), ..., PushTail(n - 1), except
+  // that no frame has left a list yet: each high-water mark is NodeBegin.
   struct AllFree {};
   FramePool(int64_t num_frames, int num_nodes, AllFree)
       : FramePool(num_frames, num_nodes, Zeroed{}) {
     for (int node = 0; node < num_nodes_; ++node) {
+      const auto n = static_cast<size_t>(node);
       const FrameId begin = NodeBegin(node);
       const FrameId end = NodeEnd(node);
+      high_water_[n] = begin;
       if (begin >= end) continue;  // trailing nodes of a short machine own no frames
-      const auto n = static_cast<size_t>(node);
       SetPrev(begin, kNoFrame);
       SetNext(end - 1, kNoFrame);
       head_[n] = begin;
@@ -158,6 +169,12 @@ class FramePool {
     return node_size_[static_cast<size_t>(node)];
   }
 
+  // One past the highest frame of `node` that ever left its free list. Only
+  // PopHeadFromNode and Remove raise it, and it never falls.
+  [[nodiscard]] FrameId high_water(int node) const {
+    return high_water_[static_cast<size_t>(node)];
+  }
+
   // Link views for checkers that walk a list in place: the head of `node`'s
   // list and the frame after `id` (kNoFrame at the tail). `id` must be linked.
   [[nodiscard]] FrameId head(int node) const { return head_[static_cast<size_t>(node)]; }
@@ -199,7 +216,8 @@ class FramePool {
     return static_cast<int64_t>(prev_.bytes() + next_.bytes() +
                                 head_.capacity() * sizeof(FrameId) +
                                 tail_.capacity() * sizeof(FrameId) +
-                                node_size_.capacity() * sizeof(int64_t));
+                                node_size_.capacity() * sizeof(int64_t) +
+                                high_water_.capacity() * sizeof(FrameId));
   }
 
  private:
@@ -220,7 +238,8 @@ class FramePool {
         next_(static_cast<size_t>(num_frames)),
         head_(static_cast<size_t>(num_nodes_), kNoFrame),
         tail_(static_cast<size_t>(num_nodes_), kNoFrame),
-        node_size_(static_cast<size_t>(num_nodes_), 0) {
+        node_size_(static_cast<size_t>(num_nodes_), 0),
+        high_water_(static_cast<size_t>(num_nodes_)) {
     assert(num_frames_ > 0);
   }
 
@@ -272,6 +291,7 @@ class FramePool {
     }
     SetPrev(id, kUnlinked);
     SetNext(id, kUnlinked);
+    if (id >= high_water_[n]) high_water_[n] = id + 1;
     --size_;
     if (--node_size_[n] == 0) nonempty_mask_ &= ~(uint64_t{1} << n);
   }
@@ -284,6 +304,7 @@ class FramePool {
   std::vector<FrameId> head_;
   std::vector<FrameId> tail_;
   std::vector<int64_t> node_size_;
+  std::vector<FrameId> high_water_;
   uint64_t nonempty_mask_ = 0;
   int64_t size_ = 0;
 

@@ -3,7 +3,8 @@
 // wrapped the hand with `%` at every step, on randomized frame tables. Both
 // must gather the same batch with the same owner, leave the hand on the same
 // frame and count the same frames passed, because all four feed the daemon's
-// quotas and the rendered tables.
+// quotas and the rendered tables. The bounded pass, which stops loading at
+// the node's high-water mark, must match the same unbounded reference.
 
 #include <algorithm>
 #include <cstdint>
@@ -141,21 +142,25 @@ void FillStormShaped(FrameTable& table, const FramePool& pool, Rng& rng) {
   }
 }
 
-// Runs both passes from `hand`; if they differ, reports every field of both.
+// Runs both passes from `hand`, the shipped one with scan bound `bound`; if
+// they differ, reports every field of both.
 ::testing::AssertionResult SamePass(const FrameTable& frames, int64_t begin, int64_t end,
-                                    int64_t hand, AsId filter, int limit, ClockPass* out) {
+                                    int64_t hand, AsId filter, int limit, ClockPass* out,
+                                    int64_t bound = INT64_MAX) {
   std::vector<FrameId> want_batch;
   std::vector<FrameId> got_batch;
   const ClockPass want = ReferencePass(frames, begin, end, hand, filter, limit, &want_batch);
-  const ClockPass got = GatherClockBatch(frames, begin, end, hand, filter, limit, &got_batch);
+  const ClockPass got =
+      GatherClockBatch(frames, begin, end, hand, filter, limit, &got_batch, bound);
   *out = got;
   if (got_batch == want_batch && got.owner == want.owner && got.hand == want.hand &&
       got.passed == want.passed) {
     return ::testing::AssertionSuccess();
   }
   return ::testing::AssertionFailure()
-         << "node [" << begin << ", " << end << ") hand " << hand << " filter " << filter
-         << " limit " << limit << ": batch of " << got_batch.size() << " frames (want "
+         << "node [" << begin << ", " << end << ") bound " << bound << " hand " << hand
+         << " filter " << filter << " limit " << limit << ": batch of " << got_batch.size()
+         << " frames (want "
          << want_batch.size() << ", same: " << (got_batch == want_batch) << "), owner "
          << got.owner << " (want " << want.owner << "), hand ends at " << got.hand << " (want "
          << want.hand << "), passed " << got.passed << " (want " << want.passed << ")";
@@ -167,7 +172,8 @@ constexpr int kLimits[] = {1, 2, 96};
 // sometimes one that owns nothing) at every batch limit, following each pass
 // with `chained` more from the hand it left, as the daemon does.
 ::testing::AssertionResult SameFromHand(const FrameTable& frames, const FramePool& pool, int node,
-                                        int64_t hand, int owners, Rng& rng, int chained) {
+                                        int64_t hand, int owners, Rng& rng, int chained,
+                                        int64_t bound = INT64_MAX) {
   const int64_t begin = pool.NodeBegin(node);
   const int64_t end = pool.NodeEnd(node);
   const AsId filters[] = {kNoAs,
@@ -177,7 +183,8 @@ constexpr int kLimits[] = {1, 2, 96};
       int64_t h = hand;
       for (int i = 0; i <= chained; ++i) {
         ClockPass pass;
-        ::testing::AssertionResult same = SamePass(frames, begin, end, h, filter, limit, &pass);
+        ::testing::AssertionResult same =
+            SamePass(frames, begin, end, h, filter, limit, &pass, bound);
         if (!same) {
           return same;
         }
@@ -193,6 +200,43 @@ int64_t RandomHand(const FramePool& pool, int node, Rng& rng) {
   const int64_t begin = pool.NodeBegin(node);
   const int64_t n = pool.NodeEnd(node) - begin;
   return n <= 0 ? begin : begin + static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(n)));
+}
+
+// One past the node's highest mapped frame (its begin if none is mapped):
+// the lowest value the node's high-water mark can hold.
+int64_t MappedTop(const FrameTable& frames, const FramePool& pool, int node) {
+  for (int64_t f = pool.NodeEnd(node); f > pool.NodeBegin(node); --f) {
+    if (frames.mapped(static_cast<FrameId>(f - 1))) {
+      return f;
+    }
+  }
+  return pool.NodeBegin(node);
+}
+
+// Scan bounds for `node`: its mapped top, a random one between that and the
+// node's end, and the end itself.
+std::vector<int64_t> Bounds(const FrameTable& frames, const FramePool& pool, int node, Rng& rng) {
+  const int64_t top = MappedTop(frames, pool, node);
+  const int64_t end = std::max<int64_t>(top, pool.NodeEnd(node));
+  return {top, top + static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(end - top) + 1)),
+          end};
+}
+
+// Unmaps each node's frames from a random cut up, so its mapped top falls
+// anywhere in the node, word edges and node edges included.
+void EmptyAboveRandomCuts(FrameTable& table, const FramePool& pool, Rng& rng) {
+  for (int node = 0; node < pool.num_nodes(); ++node) {
+    const int64_t begin = pool.NodeBegin(node);
+    const int64_t n = pool.NodeEnd(node) - begin;
+    if (n <= 0) {
+      continue;
+    }
+    for (int64_t f = begin + static_cast<int64_t>(rng.NextBelow(static_cast<uint64_t>(n) + 1));
+         f < pool.NodeEnd(node); ++f) {
+      table.set_mapped(static_cast<FrameId>(f), false);
+      table.set_io_busy(static_cast<FrameId>(f), false);
+    }
+  }
 }
 
 TEST(DaemonClockTest, MatchesReferenceOnRandomTables) {
@@ -268,6 +312,85 @@ TEST(DaemonClockTest, MatchesReferenceOnMillionFramesOverEightNodes) {
         ASSERT_TRUE(SameFromHand(table, pool, node, hand, 12, rng, /*chained=*/3))
             << "trial " << trial;
       }
+    }
+  }
+}
+
+TEST(DaemonClockTest, BoundedMatchesReferenceOnRandomTables) {
+  const struct {
+    int64_t frames;
+    int nodes;
+  } kShapes[] = {{10, 8}, {1000, 3}, {640, 1}, {130, 2}};
+  Rng rng(23);
+  for (int trial = 0; trial < 10'000; ++trial) {
+    const auto& shape = kShapes[trial % 4];
+    FrameTable table(shape.frames);
+    FramePool pool(shape.frames, shape.nodes);
+    const int owners = 1 + static_cast<int>(rng.NextBelow(12));
+    FillRandom(table, rng, owners, /*runs=*/trial % 8 >= 4);
+    EmptyAboveRandomCuts(table, pool, rng);
+    for (int node = 0; node < pool.num_nodes(); ++node) {
+      // The hand at the node's first frame, past its mapped top, or random.
+      int64_t hand = RandomHand(pool, node, rng);
+      if (trial % 3 == 0) {
+        hand = pool.NodeBegin(node);
+      } else if (trial % 3 == 1) {
+        hand = std::max<int64_t>(
+            pool.NodeBegin(node),
+            std::min<int64_t>(MappedTop(table, pool, node), pool.NodeEnd(node) - 1));
+      }
+      for (const int64_t bound : Bounds(table, pool, node, rng)) {
+        ASSERT_TRUE(SameFromHand(table, pool, node, hand, owners, rng, /*chained=*/1, bound))
+            << "trial " << trial;
+      }
+    }
+  }
+}
+
+TEST(DaemonClockTest, BoundedMatchesReferenceFromEveryHand) {
+  const struct {
+    int64_t frames;
+    int nodes;
+  } kShapes[] = {{1000, 3}, {10, 8}};
+  Rng rng(24);
+  for (const auto& shape : kShapes) {
+    for (int trial = 0; trial < 4; ++trial) {
+      FrameTable table(shape.frames);
+      FramePool pool(shape.frames, shape.nodes);
+      const int owners = trial < 2 ? 3 : 12;
+      FillRandom(table, rng, owners, /*runs=*/trial % 2 == 1);
+      EmptyAboveRandomCuts(table, pool, rng);
+      for (int node = 0; node < pool.num_nodes(); ++node) {
+        const std::vector<int64_t> bounds = Bounds(table, pool, node, rng);
+        for (int64_t hand = pool.NodeBegin(node); hand < pool.NodeEnd(node); ++hand) {
+          for (const int64_t bound : bounds) {
+            ASSERT_TRUE(
+                SameFromHand(table, pool, node, hand, owners, rng, /*chained=*/0, bound))
+                << shape.frames << " frames over " << shape.nodes << " nodes, trial " << trial;
+          }
+        }
+      }
+    }
+  }
+}
+
+// The kernel_storms shape, where the bound pays: each node mapped only in its
+// low 4%, bounded at the mapped top.
+TEST(DaemonClockTest, BoundedMatchesReferenceOnStormShapedNodes) {
+  constexpr int64_t kFrames = 1'000'000;
+  FramePool pool(kFrames, 8);
+  FrameTable table(kFrames);
+  Rng rng(25);
+  FillStormShaped(table, pool, rng);
+  for (int node = 0; node < pool.num_nodes(); ++node) {
+    const int64_t begin = pool.NodeBegin(node);
+    const int64_t top = MappedTop(table, pool, node);
+    std::vector<int64_t> hands = {begin, top - 1, top, pool.NodeEnd(node) - 1};
+    for (int i = 0; i < 8; ++i) {
+      hands.push_back(RandomHand(pool, node, rng));
+    }
+    for (const int64_t hand : hands) {
+      ASSERT_TRUE(SameFromHand(table, pool, node, hand, 12, rng, /*chained=*/3, top));
     }
   }
 }

@@ -8,6 +8,7 @@
 // a long seeded mix of every pool operation, and a fresh table must read as
 // "no identity, all planes clear" on every frame.
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <ostream>
@@ -133,6 +134,98 @@ TEST_P(FramePoolBootOrderTest, AllFreeEqualsAscendingTailPushesThroughOpMix) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Shapes, FramePoolBootOrderTest, ::testing::ValuesIn(kShapes),
+                         [](const ::testing::TestParamInfo<Shape>& shape) {
+                           return std::to_string(shape.param.frames) + "frames" +
+                                  std::to_string(shape.param.nodes) + "nodes";
+                         });
+
+// Each node's high-water mark starts at NodeBegin on a booted pool and at
+// NodeEnd on an empty one. Pops and removes raise it to one past the frame;
+// pushes never lower it. On the booted pool every frame at or above its
+// node's mark is still linked, which is what lets the daemon's clock pass
+// stop loading there.
+class FramePoolHighWaterTest : public ::testing::TestWithParam<Shape> {};
+
+TEST_P(FramePoolHighWaterTest, MarkFollowsPopsAndRemovesNotPushes) {
+  const Shape shape = GetParam();
+  FramePool booted(shape.frames, shape.nodes, FramePool::AllFree{});
+  const FramePool empty(shape.frames, shape.nodes);
+  std::vector<FrameId> want;  // the reference mark of each node
+  for (int node = 0; node < booted.num_nodes(); ++node) {
+    want.push_back(booted.NodeBegin(node));
+    EXPECT_EQ(booted.high_water(node), booted.NodeBegin(node)) << "node " << node;
+    EXPECT_EQ(empty.high_water(node), empty.NodeEnd(node)) << "node " << node;
+  }
+  const auto took = [&](FrameId f) {
+    auto& mark = want[static_cast<size_t>(booted.NodeOf(f))];
+    mark = std::max(mark, f + 1);
+  };
+  const auto expect_marks = [&](int op) {
+    for (int node = 0; node < booted.num_nodes(); ++node) {
+      ASSERT_EQ(booted.high_water(node), want[static_cast<size_t>(node)])
+          << "node " << node << " after op " << op;
+      for (FrameId f = booted.high_water(node); f < booted.NodeEnd(node); ++f) {
+        ASSERT_TRUE(booted.Contains(f)) << "frame " << f << " after op " << op;
+      }
+    }
+  };
+
+  std::mt19937_64 rng(static_cast<uint64_t>(shape.frames) * 137 +
+                      static_cast<uint64_t>(shape.nodes));
+  std::vector<FrameId> held;
+  const auto below = [&rng](uint64_t n) { return static_cast<int64_t>(rng() % n); };
+  for (int op = 1; op <= 5'000; ++op) {
+    switch (below(5)) {
+      case 0: {
+        const FrameId f =
+            booted.PopHead(static_cast<int>(below(static_cast<uint64_t>(booted.num_nodes()))));
+        if (f != kNoFrame) {
+          took(f);
+          held.push_back(f);
+        }
+        break;
+      }
+      case 1: {
+        const FrameId f = booted.PopHeadFromNode(
+            static_cast<int>(below(static_cast<uint64_t>(booted.num_nodes()))));
+        if (f != kNoFrame) {
+          took(f);
+          held.push_back(f);
+        }
+        break;
+      }
+      case 2:
+      case 3: {
+        if (held.empty()) break;
+        const auto i = static_cast<size_t>(below(held.size()));
+        const FrameId f = held[i];
+        held[i] = held.back();
+        held.pop_back();
+        if (below(2) == 0) {
+          booted.PushHead(f);
+        } else {
+          booted.PushTail(f);
+        }
+        break;
+      }
+      case 4: {
+        if (booted.empty()) break;
+        FrameId f = static_cast<FrameId>(below(static_cast<uint64_t>(shape.frames)));
+        while (!booted.Contains(f)) {
+          f = static_cast<FrameId>((f + 1) % shape.frames);
+        }
+        booted.Remove(f);
+        took(f);
+        held.push_back(f);
+        break;
+      }
+    }
+    expect_marks(op);
+    if (HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shapes, FramePoolHighWaterTest, ::testing::ValuesIn(kShapes),
                          [](const ::testing::TestParamInfo<Shape>& shape) {
                            return std::to_string(shape.param.frames) + "frames" +
                                   std::to_string(shape.param.nodes) + "nodes";
