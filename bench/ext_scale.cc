@@ -1,5 +1,5 @@
-// ext_scale — datacenter-scale regression benches for the kernel's per-frame
-// structures (schema "tmh-bench-v1", committed snapshot BENCH_scale.json).
+// ext_scale — datacenter-scale benches for the kernel's per-frame
+// structures.
 //
 // The paper's machine has 4,800 frames; these benches hold the same kernel to
 // a 10^7-frame, 8-node machine with ~100 tenants, where any per-frame or
@@ -17,17 +17,17 @@
 //                         reclaims each leaver's residue while later tenants
 //                         run)
 //
-// Each storm reports sim-events/s — gated in both directions by
-// tools/bench_regress.py — plus a micro bench of the sharded frame pool and a
-// footprint entry holding the per-frame metadata to its documented bound
-// (FrameTable ~13.6 B/frame + FramePool 2*sizeof(FrameId) B/frame, < 24 B
-// total at the default type widths). The binary exits nonzero if the bound,
-// per-node allocation isolation, or storm completion fails, so the smoke
-// ctest is a correctness check as well as a build check.
+// Each storm reports sim-events/s, next to a micro bench of the sharded frame
+// pool and a footprint entry holding the per-frame metadata to its documented
+// bound (FrameTable ~13.6 B/frame + FramePool 2*sizeof(FrameId) B/frame,
+// < 24 B total at the default type widths); the report is printed to stdout
+// as JSON. The binary exits nonzero if the bound, per-node allocation
+// isolation, or storm completion fails, so the smoke ctest is a correctness
+// check as well as a build check. perfbench's kernel_storms workload times
+// seeded variants of these storms at full scale.
 //
-// Usage: ext_scale [output.json] [--smoke] [--nodes N]
-//   --smoke    reduced machine (2^18 frames) for the <30 s ctest target;
-//              prints JSON to stdout and writes no file
+// Usage: ext_scale [--smoke] [--nodes N]
+//   --smoke    reduced machine (2^18 frames) for the <30 s ctest target
 //   --nodes N  memory nodes for every bench (default 8, max 64)
 
 #include <chrono>
@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/cli_args.h"
 #include "src/os/address_space.h"
 #include "src/os/config.h"
 #include "src/os/kernel.h"
@@ -247,7 +248,7 @@ PoolChurnResult PoolChurn(const ScaleParams& p) {
 // creeping in (one added int64 plane would blow it).
 constexpr double kBytesPerFrameBound = 24.0;
 
-bool EmitAndCheck(const ScaleParams& p, const char* out_path, bool smoke) {
+bool EmitAndCheck(const ScaleParams& p) {
   bool ok = true;
 
   // Kernel construction + footprint at full scale.
@@ -334,39 +335,21 @@ bool EmitAndCheck(const ScaleParams& p, const char* out_path, bool smoke) {
     }
   }
 
-  auto emit = [&](std::FILE* f) {
-    std::fprintf(f, "{\n  \"schema\": \"tmh-bench-v1\",\n  \"benchmarks\": [\n");
-    std::fprintf(f,
-                 "    {\"name\": \"scale_kernel_construct\", \"wall_s\": %.4f, "
-                 "\"bytes_per_frame\": %.2f, \"frames\": %" PRId64
-                 ", \"nodes\": %d},\n",
-                 construct_wall, bytes_per_frame, p.frames, p.num_nodes);
-    std::fprintf(f,
-                 "    {\"name\": \"scale_pool_churn\", \"ns_per_op\": %.4f, "
-                 "\"items_per_s\": %.0f, \"items\": %" PRIu64 "},\n",
-                 pool.ns_per_op, pool.items_per_s, pool.items);
-    for (size_t i = 0; i < storms.size(); ++i) {
-      const StormResult& s = storms[i];
-      std::fprintf(f,
-                   "    {\"name\": \"%s\", \"wall_s\": %.4f, \"sim_events\": %" PRIu64
-                   ", \"sim_events_per_s\": %.0f, \"completed\": %s}%s\n",
-                   s.name.c_str(), s.wall_s, s.sim_events, s.sim_events_per_s,
-                   s.completed ? "true" : "false",
-                   i + 1 == storms.size() ? "" : ",");
-    }
-    std::fprintf(f, "  ]\n}\n");
-  };
-
-  emit(stdout);
-  if (!smoke) {
-    std::FILE* f = std::fopen(out_path, "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "ext_scale: cannot open %s for writing\n", out_path);
-      return false;
-    }
-    emit(f);
-    std::fclose(f);
+  std::printf("{\n  \"benchmarks\": [\n");
+  std::printf("    {\"name\": \"scale_kernel_construct\", \"wall_s\": %.4f, "
+              "\"bytes_per_frame\": %.2f, \"frames\": %" PRId64 ", \"nodes\": %d},\n",
+              construct_wall, bytes_per_frame, p.frames, p.num_nodes);
+  std::printf("    {\"name\": \"scale_pool_churn\", \"ns_per_op\": %.4f, "
+              "\"items_per_s\": %.0f, \"items\": %" PRIu64 "},\n",
+              pool.ns_per_op, pool.items_per_s, pool.items);
+  for (size_t i = 0; i < storms.size(); ++i) {
+    const StormResult& s = storms[i];
+    std::printf("    {\"name\": \"%s\", \"wall_s\": %.4f, \"sim_events\": %" PRIu64
+                ", \"sim_events_per_s\": %.0f, \"completed\": %s}%s\n",
+                s.name.c_str(), s.wall_s, s.sim_events, s.sim_events_per_s,
+                s.completed ? "true" : "false", i + 1 == storms.size() ? "" : ",");
   }
+  std::printf("  ]\n}\n");
   return ok;
 }
 
@@ -374,26 +357,20 @@ bool EmitAndCheck(const ScaleParams& p, const char* out_path, bool smoke) {
 }  // namespace tmh
 
 int main(int argc, char** argv) {
-  const char* out_path = "BENCH_scale.json";
   bool smoke = false;
   int nodes = 0;
-  bool have_path = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--nodes") == 0) {
-      if (i + 1 >= argc || std::atoi(argv[i + 1]) < 1 ||
-          std::atoi(argv[i + 1]) > tmh::FramePool::kMaxNodes) {
-        std::fprintf(stderr, "ext_scale: --nodes wants a value in [1, %d]\n",
-                     tmh::FramePool::kMaxNodes);
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "--nodes requires a value\n");
         return 2;
       }
-      nodes = std::atoi(argv[++i]);
-    } else if (!have_path) {
-      out_path = argv[i];
-      have_path = true;
+      nodes = static_cast<int>(tmh::IntegerArg("--nodes", argv[++i], 1, tmh::FramePool::kMaxNodes));
     } else {
-      std::fprintf(stderr, "ext_scale: unexpected argument '%s'\n", argv[i]);
+      std::fprintf(stderr, "ext_scale: unexpected argument '%s' (usage: [--smoke] [--nodes N])\n",
+                   argv[i]);
       return 2;
     }
   }
@@ -402,5 +379,5 @@ int main(int argc, char** argv) {
   if (nodes > 0) {
     params.num_nodes = nodes;
   }
-  return tmh::EmitAndCheck(params, out_path, smoke) ? 0 : 1;
+  return tmh::EmitAndCheck(params) ? 0 : 1;
 }

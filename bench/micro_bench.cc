@@ -1,14 +1,22 @@
 // Micro-benchmarks (google-benchmark) for the substrate's hot paths: the
 // event queue, the frame pool, the residency bitmap, the paging daemon's
-// clock pass, the compiler pass, and a small end-to-end experiment. These
-// guard the simulator's own performance, which bounds how large a
-// paper-scale experiment is practical.
+// clock pass, the compiler pass, small end-to-end experiments and the
+// parallel Figure-7 sweep. These guard the simulator's own performance, which
+// bounds how large a paper-scale experiment is practical.
+//
+// The entries named in bench/micro_bench_snapshot.json are gated by
+// tools/perf_gate.py (the perf_gate ctest target). Their repetition counts
+// are fixed here, because the gate reads each entry's best repetition.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "src/compiler/compile.h"
 #include "src/core/experiment.h"
 #include "src/os/paging_daemon.h"
@@ -35,7 +43,7 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_EventQueueScheduleRun)->Arg(1000)->Arg(10000)->Repetitions(5);
 
 void BM_FramePoolChurn(benchmark::State& state) {
   const int64_t frames = state.range(0);
@@ -52,7 +60,7 @@ void BM_FramePoolChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_FramePoolChurn)->Arg(4800);
+BENCHMARK(BM_FramePoolChurn)->Arg(4800)->Repetitions(5);
 
 void BM_BitmapSetTestClear(benchmark::State& state) {
   ResidencyBitmap bitmap(32768);
@@ -82,7 +90,7 @@ void BM_BitmapRangeOps(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * (pages / span) * span * 3);
 }
-BENCHMARK(BM_BitmapRangeOps)->Arg(512)->Arg(37);
+BENCHMARK(BM_BitmapRangeOps)->Arg(512)->Arg(37)->Repetitions(5);
 
 void BM_DaemonClockPass(benchmark::State& state) {
   // The paging daemon's clock pass as it ships (GatherClockBatch) on a
@@ -248,7 +256,7 @@ void BM_RuntimeHintFiltering(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RuntimeHintFiltering);
+BENCHMARK(BM_RuntimeHintFiltering)->Repetitions(5);
 
 void BM_RuntimeBufferedDrain(benchmark::State& state) {
   // The buffered policy at its worst: every hint buffers a page while the
@@ -286,16 +294,102 @@ void BM_RuntimeBufferedDrain(benchmark::State& state) {
 BENCHMARK(BM_RuntimeBufferedDrain);
 
 void BM_EndToEndExperiment(benchmark::State& state) {
-  // A small but complete experiment: compiler + runtime + kernel + disks.
+  // A complete MATVEC experiment: compiler + runtime + kernel + disks.
+  // Arg 0: version B at scale 0.1. Arg 1: the same at 0.25, where the
+  // steady-state paths outweigh set-up. Arg 2: version O at 0.1 with the
+  // access monitor on (the unhinted program is the monitor's target), so the
+  // rates carry the whole monitoring overhead. Arg 3: version B at 0.1 on a
+  // 3-tier machine, where releases demote, re-touches promote and evictions
+  // cascade. pages_touched_per_s is the work rate that op batching cannot
+  // inflate; sim_events_per_s is the event queue's load.
+  struct Config {
+    double scale;
+    AppVersion version;
+    bool monitor;
+    int tiers;
+  };
+  static constexpr Config kConfigs[] = {{0.1, AppVersion::kBuffered, false, 0},
+                                        {0.25, AppVersion::kBuffered, false, 0},
+                                        {0.1, AppVersion::kOriginal, true, 0},
+                                        {0.1, AppVersion::kBuffered, false, 3}};
+  const Config& config = kConfigs[state.range(0)];
+  const WorkloadInfo& matvec = *std::find_if(
+      AllWorkloads().begin(), AllWorkloads().end(),
+      [](const WorkloadInfo& info) { return info.name == "MATVEC"; });
+  ExperimentSpec spec = BenchSpec(matvec, config.scale, config.version,
+                                  /*with_interactive=*/false);
+  ApplyTierGeometry(spec.machine, config.tiers);
+  spec.monitor = config.monitor;
+  double sim_events = 0;
+  double pages_touched = 0;
   for (auto _ : state) {
-    ExperimentSpec spec;
-    spec.machine.user_memory_bytes = static_cast<int64_t>(7.5 * 1024 * 1024);
-    spec.workload = MakeMatvec(0.1);
-    spec.version = AppVersion::kBuffered;
-    benchmark::DoNotOptimize(RunExperiment(spec));
+    const ExperimentResult result = RunExperiment(spec);
+    if (!result.completed) {
+      state.SkipWithError("the experiment did not complete within its event budget");
+      break;
+    }
+    sim_events += static_cast<double>(result.sim_events);
+    pages_touched += static_cast<double>(result.app.interp.page_touches);
   }
+  state.counters["sim_events_per_s"] = benchmark::Counter(sim_events, benchmark::Counter::kIsRate);
+  state.counters["pages_touched_per_s"] =
+      benchmark::Counter(pages_touched, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EndToEndExperiment)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EndToEndExperiment)->DenseRange(0, 3)->Repetitions(3)->Unit(benchmark::kMillisecond);
+
+void BM_SweepFig07(benchmark::State& state) {
+  // The Figure-7 grid (every workload at every version) at scale 0.05
+  // (arg 1), or at 0.04, 0.05 and 0.06 (arg 3), which gives each worker
+  // enough independent experiments for the speedup to approach the core
+  // count. Each iteration runs the grid serially, then on an 8-job
+  // SweepRunner, each with a fresh pool and compile cache. The speedup is
+  // held to the workers the machine can run at once: efficiency = speedup /
+  // min(8, AvailableCpus()). The rendered tables must not depend on the jobs
+  // count.
+  constexpr int kJobs = 8;
+  const std::vector<double> scales =
+      state.range(0) == 1 ? std::vector<double>{0.05} : std::vector<double>{0.04, 0.05, 0.06};
+  std::vector<ExperimentSpec> specs;
+  for (const double scale : scales) {
+    std::vector<std::string> labels;
+    const std::vector<ExperimentSpec> grid = Fig07Specs(scale, /*tiers=*/0, &labels);
+    specs.insert(specs.end(), grid.begin(), grid.end());
+  }
+  // Runs the grid on `jobs` workers; returns its wall seconds and sets `text`
+  // to each scale's fig07_breakdown output.
+  auto run = [&](int jobs, std::string* text) {
+    SweepRunner runner(SweepOptions{jobs});
+    const auto start = std::chrono::steady_clock::now();
+    const std::vector<ExperimentResult> results = runner.Run(specs);
+    const std::chrono::duration<double> elapsed = std::chrono::steady_clock::now() - start;
+    const auto per_grid = static_cast<ptrdiff_t>(results.size() / scales.size());
+    text->clear();
+    for (size_t i = 0; i < scales.size(); ++i) {
+      const auto first = results.begin() + static_cast<ptrdiff_t>(i) * per_grid;
+      *text += Fig07Text(scales[i], std::vector<ExperimentResult>(first, first + per_grid));
+    }
+    return elapsed.count();
+  };
+  double speedup = 0;
+  for (auto _ : state) {
+    std::string serial_text;
+    std::string parallel_text;
+    const double serial_s = run(1, &serial_text);
+    const double parallel_s = run(kJobs, &parallel_text);
+    if (serial_text != parallel_text) {
+      state.SkipWithError("the serial and parallel Figure-7 tables differ");
+      break;
+    }
+    speedup += serial_s / parallel_s;
+  }
+  const double usable_workers = std::min(kJobs, AvailableCpus());
+  state.counters["speedup"] = benchmark::Counter(speedup, benchmark::Counter::kAvgIterations);
+  state.counters["efficiency"] =
+      benchmark::Counter(speedup / usable_workers, benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_SweepFig07)->Arg(1)->Iterations(1)->Repetitions(2)->UseRealTime()->Unit(
+    benchmark::kMillisecond);
+BENCHMARK(BM_SweepFig07)->Arg(3)->Iterations(1)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace tmh

@@ -8,14 +8,15 @@
 //   ./build/examples/hog_trace [scale] [out_dir] [version]
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "src/core/cli_args.h"
 #include "src/core/experiment.h"
 #include "src/workloads/workloads.h"
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.25;
+  const double scale =
+      argc > 1 ? tmh::NumberArg("scale", argv[1], 0.0, 1.0, /*exclude_lo=*/true) : 0.25;
   const std::string out_dir = argc > 2 ? argv[2] : ".";
   const std::string version = argc > 3 ? argv[3] : "B";
 

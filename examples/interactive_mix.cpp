@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/core/cli_args.h"
 #include "src/core/experiment.h"
 #include "src/core/report.h"
 #include "src/workloads/workloads.h"
@@ -37,8 +38,9 @@ tmh::AppVersion ParseVersion(const char* s) {
 int main(int argc, char** argv) {
   const char* workload_name = argc > 1 ? argv[1] : "MATVEC";
   const tmh::AppVersion version = ParseVersion(argc > 2 ? argv[2] : "P");
-  const double sleep_s = argc > 3 ? std::atof(argv[3]) : 5.0;
-  const double scale = argc > 4 ? std::atof(argv[4]) : 0.25;
+  const double sleep_s = argc > 3 ? tmh::NumberArg("sleep_s", argv[3], 0.0, 1e9) : 5.0;
+  const double scale =
+      argc > 4 ? tmh::NumberArg("scale", argv[4], 0.0, 1.0, /*exclude_lo=*/true) : 0.25;
 
   const tmh::WorkloadInfo* info = nullptr;
   for (const tmh::WorkloadInfo& w : tmh::AllWorkloads()) {

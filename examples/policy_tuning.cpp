@@ -12,8 +12,9 @@
 
 #include <cstdio>
 #include <cstring>
-#include <cstdlib>
+#include <limits>
 
+#include "src/core/cli_args.h"
 #include "src/core/experiment.h"
 #include "src/core/report.h"
 #include "src/core/sweep.h"
@@ -24,11 +25,19 @@ int main(int argc, char** argv) {
   int jobs = 0;
   bool have_scale = false;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--jobs") == 0) {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "--jobs requires a value\n");
+        return 2;
+      }
+      jobs = static_cast<int>(
+          tmh::IntegerArg("--jobs", argv[++i], 0, std::numeric_limits<int>::max()));
     } else if (!have_scale) {
-      scale = std::atof(argv[i]);
+      scale = tmh::NumberArg("scale", argv[i], 0.0, 1.0, /*exclude_lo=*/true);
       have_scale = true;
+    } else {
+      std::fprintf(stderr, "unexpected argument '%s' (usage: [scale] [--jobs N])\n", argv[i]);
+      return 2;
     }
   }
   const tmh::WorkloadInfo& matvec = tmh::AllWorkloads()[1];

@@ -8,14 +8,15 @@
 // `scale` in (0,1] shrinks the data set (default 0.25 for a fast demo).
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "src/core/cli_args.h"
 #include "src/core/experiment.h"
 #include "src/core/report.h"
 #include "src/workloads/workloads.h"
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.25;
+  const double scale =
+      argc > 1 ? tmh::NumberArg("scale", argv[1], 0.0, 1.0, /*exclude_lo=*/true) : 0.25;
   std::printf("MATVEC at scale %.2f on the simulated Origin 200 (75 MB, 10 swap disks)\n\n",
               scale);
 

@@ -6,9 +6,9 @@
 //   ./build/examples/trace_timeline [scale] [out_dir]
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
+#include "src/core/cli_args.h"
 #include "src/core/experiment.h"
 #include "src/core/html_report.h"
 #include "src/workloads/workloads.h"
@@ -35,7 +35,8 @@ void AsciiTimeline(const char* label, const tmh::TraceRecorder& trace, int64_t t
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale = argc > 1 ? std::atof(argv[1]) : 0.25;
+  const double scale =
+      argc > 1 ? tmh::NumberArg("scale", argv[1], 0.0, 1.0, /*exclude_lo=*/true) : 0.25;
   const std::string out_dir = argc > 2 ? argv[2] : ".";
 
   for (const tmh::AppVersion version : {tmh::AppVersion::kPrefetch, tmh::AppVersion::kBuffered}) {
