@@ -57,7 +57,7 @@ inline BenchArgs ParseBenchArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--jobs") == 0) {
       args.jobs = int_flag(i, 0, std::numeric_limits<int>::max());
     } else if (!have_scale) {
-      args.scale = NumberArg("scale", argv[i], 0.0, 1.0, /*exclude_lo=*/true);
+      args.scale = ScaleArg("scale", argv[i]);
       have_scale = true;
     } else {
       std::fprintf(stderr, "unexpected argument '%s' (usage: [scale] [--jobs N] [--tiers N])\n",

@@ -300,18 +300,22 @@ void BM_EndToEndExperiment(benchmark::State& state) {
   // access monitor on (the unhinted program is the monitor's target), so the
   // rates carry the whole monitoring overhead. Arg 3: version B at 0.1 on a
   // 3-tier machine, where releases demote, re-touches promote and evictions
-  // cascade. pages_touched_per_s is the work rate that op batching cannot
+  // cascade. Arg 4: version B at 0.05 with the invariant checker attached,
+  // so the rates carry the oracle's replay and a full sweep after every VM
+  // transition. pages_touched_per_s is the work rate that op batching cannot
   // inflate; sim_events_per_s is the event queue's load.
   struct Config {
     double scale;
     AppVersion version;
     bool monitor;
     int tiers;
+    bool checks;
   };
-  static constexpr Config kConfigs[] = {{0.1, AppVersion::kBuffered, false, 0},
-                                        {0.25, AppVersion::kBuffered, false, 0},
-                                        {0.1, AppVersion::kOriginal, true, 0},
-                                        {0.1, AppVersion::kBuffered, false, 3}};
+  static constexpr Config kConfigs[] = {{0.1, AppVersion::kBuffered, false, 0, false},
+                                        {0.25, AppVersion::kBuffered, false, 0, false},
+                                        {0.1, AppVersion::kOriginal, true, 0, false},
+                                        {0.1, AppVersion::kBuffered, false, 3, false},
+                                        {0.05, AppVersion::kBuffered, false, 0, true}};
   const Config& config = kConfigs[state.range(0)];
   const WorkloadInfo& matvec = *std::find_if(
       AllWorkloads().begin(), AllWorkloads().end(),
@@ -320,12 +324,17 @@ void BM_EndToEndExperiment(benchmark::State& state) {
                                   /*with_interactive=*/false);
   ApplyTierGeometry(spec.machine, config.tiers);
   spec.monitor = config.monitor;
+  spec.checks = config.checks;
   double sim_events = 0;
   double pages_touched = 0;
   for (auto _ : state) {
     const ExperimentResult result = RunExperiment(spec);
     if (!result.completed) {
       state.SkipWithError("the experiment did not complete within its event budget");
+      break;
+    }
+    if (!result.check_failure.empty()) {
+      state.SkipWithError("the invariant checker reported a violation");
       break;
     }
     sim_events += static_cast<double>(result.sim_events);
@@ -335,7 +344,13 @@ void BM_EndToEndExperiment(benchmark::State& state) {
   state.counters["pages_touched_per_s"] =
       benchmark::Counter(pages_touched, benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_EndToEndExperiment)->DenseRange(0, 3)->Repetitions(3)->Unit(benchmark::kMillisecond);
+// Each repetition runs for at least 0.2 s whatever --benchmark_min_time
+// says, so one noisy experiment of 6-40 ms cannot set a repetition's rate.
+BENCHMARK(BM_EndToEndExperiment)
+    ->DenseRange(0, 4)
+    ->MinTime(0.2)
+    ->Repetitions(3)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SweepFig07(benchmark::State& state) {
   // The Figure-7 grid (every workload at every version) at scale 0.05

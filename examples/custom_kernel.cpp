@@ -16,8 +16,7 @@
 #include "src/core/report.h"
 
 int main(int argc, char** argv) {
-  const double scale =
-      argc > 1 ? tmh::NumberArg("scale", argv[1], 0.0, 1.0, /*exclude_lo=*/true) : 0.5;
+  const double scale = argc > 1 ? tmh::ScaleArg("scale", argv[1]) : 0.5;
 
   // --- 1. describe the program in the loop-nest IR -----------------------------
   const int64_t rows = static_cast<int64_t>(1400 * scale);

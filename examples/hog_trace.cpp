@@ -5,7 +5,7 @@
 // prefetch-I/O spans, release/rescue instants, daemon sweep batches, and a
 // free-memory counter track.
 //
-//   ./build/examples/hog_trace [scale] [out_dir] [version]
+//   ./build/examples/hog_trace [scale] [out_dir] [O|P|R|B]
 
 #include <cstdio>
 #include <string>
@@ -15,19 +15,15 @@
 #include "src/workloads/workloads.h"
 
 int main(int argc, char** argv) {
-  const double scale =
-      argc > 1 ? tmh::NumberArg("scale", argv[1], 0.0, 1.0, /*exclude_lo=*/true) : 0.25;
+  const double scale = argc > 1 ? tmh::ScaleArg("scale", argv[1]) : 0.25;
   const std::string out_dir = argc > 2 ? argv[2] : ".";
-  const std::string version = argc > 3 ? argv[3] : "B";
 
   tmh::ExperimentSpec spec;
   spec.machine.user_memory_bytes =
       static_cast<int64_t>(static_cast<double>(spec.machine.user_memory_bytes) * scale);
   spec.workload = tmh::MakeMatvec(scale);
-  spec.version = version == "O"   ? tmh::AppVersion::kOriginal
-                 : version == "P" ? tmh::AppVersion::kPrefetch
-                 : version == "R" ? tmh::AppVersion::kRelease
-                                  : tmh::AppVersion::kBuffered;
+  spec.version =
+      argc > 3 ? tmh::VersionArg("version", argv[3]) : tmh::AppVersion::kBuffered;
   spec.with_interactive = true;
   spec.interactive.sleep_time = 5 * tmh::kSec;
   spec.observe = true;

@@ -7,40 +7,18 @@
 //   e.g. ./build/examples/interactive_mix MATVEC P 5 0.25
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/core/cli_args.h"
 #include "src/core/experiment.h"
 #include "src/core/report.h"
 #include "src/workloads/workloads.h"
 
-namespace {
-
-tmh::AppVersion ParseVersion(const char* s) {
-  switch (s[0]) {
-    case 'O':
-      return tmh::AppVersion::kOriginal;
-    case 'P':
-      return tmh::AppVersion::kPrefetch;
-    case 'R':
-      return tmh::AppVersion::kRelease;
-    case 'B':
-      return tmh::AppVersion::kBuffered;
-    default:
-      std::fprintf(stderr, "unknown version '%s' (use O, P, R, or B)\n", s);
-      std::exit(2);
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   const char* workload_name = argc > 1 ? argv[1] : "MATVEC";
-  const tmh::AppVersion version = ParseVersion(argc > 2 ? argv[2] : "P");
+  const tmh::AppVersion version = argc > 2 ? tmh::VersionArg("version", argv[2])
+                                           : tmh::AppVersion::kPrefetch;
   const double sleep_s = argc > 3 ? tmh::NumberArg("sleep_s", argv[3], 0.0, 1e9) : 5.0;
-  const double scale =
-      argc > 4 ? tmh::NumberArg("scale", argv[4], 0.0, 1.0, /*exclude_lo=*/true) : 0.25;
+  const double scale = argc > 4 ? tmh::ScaleArg("scale", argv[4]) : 0.25;
 
   const tmh::WorkloadInfo* info = nullptr;
   for (const tmh::WorkloadInfo& w : tmh::AllWorkloads()) {

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       jobs = static_cast<int>(
           tmh::IntegerArg("--jobs", argv[++i], 0, std::numeric_limits<int>::max()));
     } else if (!have_scale) {
-      scale = tmh::NumberArg("scale", argv[i], 0.0, 1.0, /*exclude_lo=*/true);
+      scale = tmh::ScaleArg("scale", argv[i]);
       have_scale = true;
     } else {
       std::fprintf(stderr, "unexpected argument '%s' (usage: [scale] [--jobs N])\n", argv[i]);

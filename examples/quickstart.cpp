@@ -15,8 +15,7 @@
 #include "src/workloads/workloads.h"
 
 int main(int argc, char** argv) {
-  const double scale =
-      argc > 1 ? tmh::NumberArg("scale", argv[1], 0.0, 1.0, /*exclude_lo=*/true) : 0.25;
+  const double scale = argc > 1 ? tmh::ScaleArg("scale", argv[1]) : 0.25;
   std::printf("MATVEC at scale %.2f on the simulated Origin 200 (75 MB, 10 swap disks)\n\n",
               scale);
 

@@ -35,8 +35,7 @@ void AsciiTimeline(const char* label, const tmh::TraceRecorder& trace, int64_t t
 }  // namespace
 
 int main(int argc, char** argv) {
-  const double scale =
-      argc > 1 ? tmh::NumberArg("scale", argv[1], 0.0, 1.0, /*exclude_lo=*/true) : 0.25;
+  const double scale = argc > 1 ? tmh::ScaleArg("scale", argv[1]) : 0.25;
   const std::string out_dir = argc > 2 ? argv[2] : ".";
 
   for (const tmh::AppVersion version : {tmh::AppVersion::kPrefetch, tmh::AppVersion::kBuffered}) {

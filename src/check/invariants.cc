@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <deque>
-#include <map>
-#include <set>
+#include <span>
 #include <sstream>
 
 #include "src/os/kernel.h"
@@ -230,11 +229,10 @@ void InvariantChecker::Validate(Kernel& kernel) {
 
   // Pass 2 (I-FT, I-ONE; the model's dirty set): 64 frames per step. Owner
   // and vpage are read only for mapped frames; a frame that is neither
-  // mapped, free-listed nor io-busy is in limbo. The dirty plane is merged
-  // against the model's ordered dirty set one word at a time.
+  // mapped, free-listed nor io-busy is in limbo. The dirty plane is XORed
+  // with the model's dirty words one word at a time.
   const auto& address_spaces = kernel.address_spaces();
-  const std::set<FrameId>& model_dirty = oracle_.dirty();
-  auto model_dirty_it = model_dirty.lower_bound(0);
+  const std::span<const uint64_t> model_dirty = oracle_.dirty_words();
   for (size_t w = 0; w < num_words; ++w) {
     const FrameId base = static_cast<FrameId>(w * 64);
     const int64_t in_word = std::min<int64_t>(64, num_frames - base);
@@ -277,11 +275,7 @@ void InvariantChecker::Validate(Kernel& kernel) {
       }
     }
     if (oracle_dirty.empty()) {
-      uint64_t model_bits = 0;
-      for (; model_dirty_it != model_dirty.end() && *model_dirty_it - base < 64;
-           ++model_dirty_it) {
-        model_bits |= uint64_t{1} << (*model_dirty_it - base);
-      }
+      const uint64_t model_bits = w < model_dirty.size() ? model_dirty[w] : 0;
       const uint64_t differ = (dirty[w] ^ model_bits) & valid;
       if (differ != 0) {
         const int b = std::countr_zero(differ);
@@ -316,10 +310,9 @@ void InvariantChecker::Validate(Kernel& kernel) {
   // Pass 3 (I-PT, I-RL, I-TIER, I-RQ, I-BM; the model's residency): one pass
   // per page table. I-BM compares the bitmap a word at a time against the
   // bits the page states require, over materialized pages only; it is
-  // reported after the resident recount. The model's ordered resident map
-  // is stepped only at resident pages: a model page the kernel skipped shows
-  // up as a key behind the current page, and because the resident counts
-  // are compared first, matching every resident page proves the sets equal.
+  // reported after the resident recount. Each page's kernel frame (kNoFrame
+  // unless resident) is compared with the model's frame at the same vpage,
+  // after the resident counts.
   const std::vector<Kernel::TierPlane>& planes = kernel.tier_planes();
   bool release_queue_built = false;
   std::string bm_failure;
@@ -330,21 +323,14 @@ void InvariantChecker::Validate(Kernel& kernel) {
     const Pte* ptes = pt.data();
     const VPage num_pages = as.num_pages();
     const uint64_t* bitmap = as.HasPagingDirected() ? as.bitmap()->words() : nullptr;
-    const std::map<VPage, FrameId>& model_pages = oracle_.ResidentPages(id);
-    auto model = model_pages.lower_bound(0);
+    const std::span<const FrameId> model_frames = oracle_.PageFrames(id);
     bool compare_resident = oracle_resident.empty();
-    if (compare_resident && static_cast<int64_t>(model_pages.size()) != pt.resident_count()) {
+    if (compare_resident && oracle_.ResidentCount(id) != pt.resident_count()) {
       oracle_resident = "as=" + std::to_string(id) + " resident count " +
                         std::to_string(pt.resident_count()) + " differs from the model's " +
-                        std::to_string(model_pages.size());
+                        std::to_string(oracle_.ResidentCount(id));
       compare_resident = false;
     }
-    auto residency_differs = [&](VPage v, FrameId kernel_frame, FrameId model_frame) {
-      oracle_resident = "as=" + std::to_string(id) + " vpage=" + std::to_string(v) +
-                        " kernel frame " + std::to_string(kernel_frame) +
-                        " != model frame " + std::to_string(model_frame);
-      compare_resident = false;
-    };
     int64_t resident = 0;
     uint64_t care = 0;    // materialized pages of the current bitmap word
     uint64_t expect = 0;  // ... whose page state requires the bit set
@@ -379,17 +365,6 @@ void InvariantChecker::Validate(Kernel& kernel) {
           return;
         }
         bit_required = pte.invalid_reason != InvalidReason::kReleasePending;
-        if (compare_resident) {
-          if (model != model_pages.end() && model->first < v) {
-            residency_differs(model->first, kNoFrame, model->second);
-          } else if (model == model_pages.end() || model->first != v) {
-            residency_differs(v, pte.frame, kNoFrame);
-          } else if (model->second != pte.frame) {
-            residency_differs(v, pte.frame, model->second);
-          } else {
-            ++model;
-          }
-        }
       } else {
         if (pte.valid) {
           Fail(now, "I-PT",
@@ -420,6 +395,18 @@ void InvariantChecker::Validate(Kernel& kernel) {
           // flight has contents_valid set).
           bit_required = frames.io_busy(pte.frame) && !frames.mapped(pte.frame) &&
                          !frames.contents_valid(pte.frame);
+        }
+      }
+      if (compare_resident) {
+        const FrameId kernel_frame = pte.resident ? pte.frame : kNoFrame;
+        const FrameId model_frame =
+            static_cast<size_t>(v) < model_frames.size() ? model_frames[static_cast<size_t>(v)]
+                                                         : kNoFrame;
+        if (kernel_frame != model_frame) {
+          oracle_resident = "as=" + std::to_string(id) + " vpage=" + std::to_string(v) +
+                            " kernel frame " + std::to_string(kernel_frame) +
+                            " != model frame " + std::to_string(model_frame);
+          compare_resident = false;
         }
       }
       if (pte.tier != 0) {
@@ -517,9 +504,6 @@ void InvariantChecker::Validate(Kernel& kernel) {
     if (!bm_failure.empty()) {
       Fail(now, "I-BM", bm_failure);
       return;
-    }
-    if (compare_resident && model != model_pages.end() && model->first < num_pages) {
-      residency_differs(model->first, kNoFrame, model->second);
     }
   }
 

@@ -8,39 +8,45 @@
 namespace tmh {
 
 void VmOracle::SeedFromKernel(const Kernel& kernel) {
-  free_.clear();
-  resident_.clear();
-  mapped_.clear();
-  dirty_.clear();
-  writeback_.clear();
   // Re-derive the sharded pool's shape, then snapshot each node's list.
   const FramePool& pool = kernel.frame_pool();
+  const FrameTable& frames = kernel.frames();
+  seeded_ = true;
+  num_frames_ = frames.size();
+  const size_t words = static_cast<size_t>((num_frames_ + 63) / 64);
+  owner_.assign(static_cast<size_t>(num_frames_), kNoAs);
+  on_free_.assign(words, 0);
+  dirty_.assign(words, 0);
+  writeback_.assign(words, 0);
   frames_per_node_ = pool.frames_per_node();
-  free_.resize(static_cast<size_t>(pool.num_nodes()));
+  free_.assign(static_cast<size_t>(pool.num_nodes()), {});
   total_free_ = 0;
   for (int node = 0; node < pool.num_nodes(); ++node) {
     const std::vector<FrameId> fl = pool.NodeToVector(node);
     free_[static_cast<size_t>(node)].assign(fl.begin(), fl.end());
+    for (const FrameId f : fl) {
+      Set(on_free_, f);
+    }
     total_free_ += static_cast<int64_t>(fl.size());
   }
+  spaces_.assign(kernel.address_spaces().size(), {});
   for (const auto& as : kernel.address_spaces()) {
-    std::map<VPage, FrameId>& pages = resident_[as->id()];
+    Space& space = spaces_[static_cast<size_t>(as->id())];
+    space.frames.assign(static_cast<size_t>(as->num_pages()), kNoFrame);
     for (VPage v = 0; v < as->num_pages(); ++v) {
       const Pte& pte = as->page_table().at(v);
-      if (pte.resident) {
-        pages[v] = pte.frame;
-        mapped_[pte.frame] = {as->id(), v};
+      // A resident page naming no frame of the machine is I-PT's to report.
+      if (pte.resident && pte.frame >= 0 && pte.frame < num_frames_) {
+        space.frames[static_cast<size_t>(v)] = pte.frame;
+        ++space.resident;
+        owner_[static_cast<size_t>(pte.frame)] = as->id();
       }
     }
   }
-  for (FrameId f = 0; f < static_cast<FrameId>(kernel.frames().size()); ++f) {
-    const Frame& fr = kernel.frames().at(f);
-    if (fr.dirty) {
-      dirty_.insert(f);
-      if (fr.io_busy) {
-        writeback_.insert(f);
-      }
-    }
+  // A dirty frame that is io-busy is mid-writeback.
+  for (size_t w = 0; w < words; ++w) {
+    dirty_[w] = frames.dirty_words()[w];
+    writeback_[w] = frames.dirty_words()[w] & frames.io_busy_words()[w];
   }
   // Slow tiers (memory-tiering extension): snapshot each plane's free pool in
   // pop order and its occupied-frame identity arrays.
@@ -62,29 +68,42 @@ void VmOracle::SeedFromKernel(const Kernel& kernel) {
   min_freemem_pages_ = kernel.config().tunables.min_freemem_pages;
 }
 
-bool VmOracle::IsResident(AsId as, VPage vpage) const {
-  const auto it = resident_.find(as);
-  return it != resident_.end() && it->second.count(vpage) != 0;
-}
-
-FrameId VmOracle::FrameOf(AsId as, VPage vpage) const {
-  const auto it = resident_.find(as);
-  if (it == resident_.end()) {
-    return kNoFrame;
+bool VmOracle::HoldFrame(const VmHookEvent& event) {
+  const FrameId f = event.frame;
+  if (f >= 0 && f < num_frames_) {
+    return true;
   }
-  const auto page = it->second.find(vpage);
-  return page == it->second.end() ? kNoFrame : page->second;
+  if (f < 0 || seeded_ || f >= kMaxGrownId) {
+    Diverge(event, "frame " + std::to_string(f) +
+                       (seeded_ ? " is outside the machine's " + std::to_string(num_frames_) +
+                                      " frames"
+                                : std::string(" is outside what the model can hold")));
+    return false;
+  }
+  num_frames_ = int64_t{f} + 1;
+  const size_t words = static_cast<size_t>((num_frames_ + 63) / 64);
+  owner_.resize(static_cast<size_t>(num_frames_), kNoAs);
+  on_free_.resize(words, 0);
+  dirty_.resize(words, 0);
+  writeback_.resize(words, 0);
+  return true;
 }
 
-const std::map<VPage, FrameId>& VmOracle::ResidentPages(AsId as) const {
-  static const std::map<VPage, FrameId> kNone;
-  const auto it = resident_.find(as);
-  return it == resident_.end() ? kNone : it->second;
-}
-
-int64_t VmOracle::ResidentCount(AsId as) const {
-  const auto it = resident_.find(as);
-  return it == resident_.end() ? 0 : static_cast<int64_t>(it->second.size());
+bool VmOracle::HoldPage(const VmHookEvent& event) {
+  if (event.as < 0 || event.as >= kMaxGrownId || event.vpage < 0 ||
+      event.vpage >= kMaxGrownId) {
+    Diverge(event, "page (as=" + std::to_string(event.as) + " vpage=" +
+                       std::to_string(event.vpage) + ") is outside what the model can hold");
+    return false;
+  }
+  if (!HoldsSpace(event.as)) {
+    spaces_.resize(static_cast<size_t>(event.as) + 1);
+  }
+  std::vector<FrameId>& frames = spaces_[static_cast<size_t>(event.as)].frames;
+  if (event.vpage >= static_cast<VPage>(frames.size())) {
+    frames.resize(static_cast<size_t>(event.vpage) + 1, kNoFrame);
+  }
+  return true;
 }
 
 int64_t VmOracle::UpperLimit(AsId as) const {
@@ -93,12 +112,6 @@ int64_t VmOracle::UpperLimit(AsId as) const {
   const int64_t upper =
       std::min(maxrss_pages_, ResidentCount(as) + total_free_ - min_freemem_pages_);
   return std::max<int64_t>(upper, 0);
-}
-
-bool VmOracle::InFreeList(FrameId f) const {
-  // A frame can only ever be on its owning node's list.
-  const std::deque<FrameId>& node = free_[static_cast<size_t>(NodeOf(f))];
-  return std::find(node.begin(), node.end(), f) != node.end();
 }
 
 void VmOracle::Diverge(const VmHookEvent& event, const std::string& what) {
@@ -122,6 +135,10 @@ void VmOracle::Apply(const VmHookEvent& event) {
         Diverge(event, "allocation from an empty free list");
         return;
       }
+      if (event.as < 0) {
+        Diverge(event, "allocation for an address space with no home node");
+        return;
+      }
       // The pool must serve the faulting process's home node (as % nodes),
       // falling back to the nearest non-empty node in ascending wrap order.
       const int nodes = num_nodes();
@@ -137,16 +154,17 @@ void VmOracle::Apply(const VmHookEvent& event) {
                            std::to_string(list.front()) + ")");
         return;
       }
-      if (dirty_.count(event.frame) != 0) {
+      if (Test(dirty_, event.frame)) {
         Diverge(event, "allocated frame is dirty in the model");
         return;
       }
       list.pop_front();
+      Clear(on_free_, event.frame);
       --total_free_;
       break;
     }
     case VmHookOp::kMap: {
-      if (resident_[event.as].count(event.vpage) != 0) {
+      if (IsResident(event.as, event.vpage)) {
         Diverge(event, "mapping an already-resident page");
         return;
       }
@@ -154,27 +172,34 @@ void VmOracle::Apply(const VmHookEvent& event) {
         Diverge(event, "mapping a frame still on the free list");
         return;
       }
-      if (const auto it = mapped_.find(event.frame); it != mapped_.end()) {
-        Diverge(event, "frame already mapped by as=" + std::to_string(it->second.first));
+      if (const AsId owner = MappedBy(event.frame); owner != kNoAs) {
+        Diverge(event, "frame already mapped by as=" + std::to_string(owner));
         return;
       }
-      resident_[event.as][event.vpage] = event.frame;
-      mapped_[event.frame] = {event.as, event.vpage};
+      if (!HoldFrame(event) || !HoldPage(event)) {
+        return;
+      }
+      Space& space = spaces_[static_cast<size_t>(event.as)];
+      space.frames[static_cast<size_t>(event.vpage)] = event.frame;
+      ++space.resident;
+      owner_[static_cast<size_t>(event.frame)] = event.as;
       break;
     }
     case VmHookOp::kUnmap: {
-      const auto it = resident_.find(event.as);
-      if (it == resident_.end() || it->second.count(event.vpage) == 0) {
+      // A page the model has resident names a frame it holds.
+      const FrameId model = FrameOf(event.as, event.vpage);
+      if (model == kNoFrame) {
         Diverge(event, "unmapping a page the model has non-resident");
         return;
       }
-      if (it->second[event.vpage] != event.frame) {
-        Diverge(event, "unmap frame mismatch (model frame=" +
-                           std::to_string(it->second[event.vpage]) + ")");
+      if (model != event.frame) {
+        Diverge(event, "unmap frame mismatch (model frame=" + std::to_string(model) + ")");
         return;
       }
-      it->second.erase(event.vpage);
-      mapped_.erase(event.frame);
+      Space& space = spaces_[static_cast<size_t>(event.as)];
+      space.frames[static_cast<size_t>(event.vpage)] = kNoFrame;
+      --space.resident;
+      owner_[static_cast<size_t>(event.frame)] = kNoAs;
       break;
     }
     case VmHookOp::kFreePushHead:
@@ -183,13 +208,15 @@ void VmOracle::Apply(const VmHookEvent& event) {
         Diverge(event, "double free: frame already on the model free list");
         return;
       }
-      if (const auto it = mapped_.find(event.frame); it != mapped_.end()) {
-        Diverge(event,
-                "freeing a frame still mapped by as=" + std::to_string(it->second.first));
+      if (const AsId owner = MappedBy(event.frame); owner != kNoAs) {
+        Diverge(event, "freeing a frame still mapped by as=" + std::to_string(owner));
         return;
       }
-      if (dirty_.count(event.frame) != 0) {
+      if (Test(dirty_, event.frame)) {
         Diverge(event, "freeing a dirty frame without a writeback");
+        return;
+      }
+      if (!HoldFrame(event)) {
         return;
       }
       // Pushes route to the pushed frame's node — never the freeing
@@ -200,50 +227,57 @@ void VmOracle::Apply(const VmHookEvent& event) {
       } else {
         list.push_back(event.frame);
       }
+      Set(on_free_, event.frame);
       ++total_free_;
       break;
     }
     case VmHookOp::kRescue: {
-      std::deque<FrameId>& list = free_[static_cast<size_t>(NodeOf(event.frame))];
-      const auto it = std::find(list.begin(), list.end(), event.frame);
-      if (it == list.end()) {
+      if (!InFreeList(event.frame)) {
         Diverge(event, "rescue of a frame not on the model free list");
         return;
       }
-      list.erase(it);
+      std::deque<FrameId>& list = free_[static_cast<size_t>(NodeOf(event.frame))];
+      list.erase(std::find(list.begin(), list.end(), event.frame));
+      Clear(on_free_, event.frame);
       --total_free_;
       ++rescues_;
       break;
     }
     case VmHookOp::kWritebackBegin: {
-      if (dirty_.count(event.frame) == 0) {
+      if (!Test(dirty_, event.frame)) {
         Diverge(event, "writeback of a frame the model has clean");
         return;
       }
-      if (writeback_.count(event.frame) != 0) {
+      if (Test(writeback_, event.frame)) {
         Diverge(event, "duplicate in-flight writeback");
         return;
       }
-      writeback_.insert(event.frame);
+      Set(writeback_, event.frame);
       ++writebacks_;
       break;
     }
     case VmHookOp::kWritebackEnd: {
-      if (writeback_.erase(event.frame) == 0) {
+      if (!Test(writeback_, event.frame)) {
         Diverge(event, "writeback completion without a matching begin");
         return;
       }
-      if (dirty_.erase(event.frame) == 0) {
+      Clear(writeback_, event.frame);
+      if (!Test(dirty_, event.frame)) {
         Diverge(event, "writeback completion on a clean frame");
         return;
       }
+      Clear(dirty_, event.frame);
       break;
     }
     case VmHookOp::kDirty: {
-      if (!dirty_.insert(event.frame).second) {
+      if (Test(dirty_, event.frame)) {
         Diverge(event, "clean->dirty transition on an already-dirty frame");
         return;
       }
+      if (!HoldFrame(event)) {
+        return;
+      }
+      Set(dirty_, event.frame);
       break;
     }
     case VmHookOp::kReleaseEnqueue:
@@ -296,7 +330,10 @@ void VmOracle::Apply(const VmHookEvent& event) {
         return;
       }
       model.free.pop_front();
-      const bool carried = dirty_.erase(event.frame) != 0;
+      const bool carried = Test(dirty_, event.frame);
+      if (carried) {
+        Clear(dirty_, event.frame);
+      }
       model.pages[{event.as, event.vpage}] =
           TierEntry{static_cast<FrameId>(event.b), carried};
       break;
@@ -324,9 +361,15 @@ void VmOracle::Apply(const VmHookEvent& event) {
         Diverge(event, "promoted page not resident on the hook's frame");
         return;
       }
-      if (it->second.dirty && !dirty_.insert(event.frame).second) {
-        Diverge(event, "carried dirty bit restored onto an already-dirty frame");
-        return;
+      if (it->second.dirty) {
+        if (Test(dirty_, event.frame)) {
+          Diverge(event, "carried dirty bit restored onto an already-dirty frame");
+          return;
+        }
+        if (!HoldFrame(event)) {
+          return;
+        }
+        Set(dirty_, event.frame);
       }
       model.free.push_front(it->second.tf);
       model.pages.erase(it);

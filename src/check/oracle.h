@@ -1,11 +1,14 @@
 // Differential reference model ("oracle") for the VM subsystem.
 //
 // A deliberately simple shadow of the kernel's memory state: the free list is
-// a plain deque per memory node, residency is a map per address space, the
-// dirty set is a std::set. No wheels, no sentinels, no intrusive links, no
+// a plain deque per memory node, residency is a plain vector per address
+// space (the frame backing each vpage), and each frame keeps its owning
+// address space and one bit each for free-list membership, dirty and
+// writeback in flight. No wheels, no sentinels, no intrusive links, no
 // small-buffer tricks — the point is that this model is simple enough to be
 // obviously correct, so any disagreement with the optimized kernel implicates
-// the kernel (or a missing hook), not the model.
+// the kernel (or a missing hook), not the model. Every replayed hook costs
+// O(1), except a rescue, which erases from the middle of a deque.
 //
 // The model is byte-honest per node: it re-derives the kernel's frame->node
 // partition (contiguous ranges) and home-node rule (as_id % nodes) from the
@@ -23,6 +26,12 @@
 // head, a rescue must find the frame mid-list, a writeback must target a
 // dirty frame, a published Eq. 1 header must match the model's own
 // recomputation — and the first disagreement is recorded as a divergence.
+//
+// Ids index the model's arrays directly. A lookup of an id the model does not
+// hold finds nothing. A hook that would store a negative id, a frame past a
+// seeded machine's frames, or an id at or past kMaxGrownId diverges; below
+// that bound the per-page arrays, and an unseeded oracle's per-frame arrays,
+// grow to hold the id.
 
 #ifndef TMH_SRC_CHECK_ORACLE_H_
 #define TMH_SRC_CHECK_ORACLE_H_
@@ -30,7 +39,7 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,6 +53,9 @@ class Kernel;
 
 class VmOracle {
  public:
+  // Ids the model grows its arrays to hold stay below this.
+  static constexpr int64_t kMaxGrownId = int64_t{1} << 24;
+
   // Rebuilds the model from the kernel's current state, so a checker can
   // attach at any quiescent moment (typically right after construction).
   void SeedFromKernel(const Kernel& kernel);
@@ -69,13 +81,30 @@ class VmOracle {
   [[nodiscard]] int NodeOf(FrameId f) const {
     return static_cast<int>(f / frames_per_node_);
   }
-  [[nodiscard]] bool IsResident(AsId as, VPage vpage) const;
+  [[nodiscard]] bool IsResident(AsId as, VPage vpage) const {
+    return FrameOf(as, vpage) != kNoFrame;
+  }
   // Frame the model believes backs (as, vpage), or kNoFrame.
-  [[nodiscard]] FrameId FrameOf(AsId as, VPage vpage) const;
-  [[nodiscard]] int64_t ResidentCount(AsId as) const;
-  // The model's resident pages of `as` (vpage -> frame), in vpage order.
-  [[nodiscard]] const std::map<VPage, FrameId>& ResidentPages(AsId as) const;
-  [[nodiscard]] const std::set<FrameId>& dirty() const { return dirty_; }
+  [[nodiscard]] FrameId FrameOf(AsId as, VPage vpage) const {
+    const std::span<const FrameId> pages = PageFrames(as);
+    return vpage >= 0 && vpage < static_cast<VPage>(pages.size())
+               ? pages[static_cast<size_t>(vpage)]
+               : kNoFrame;
+  }
+  [[nodiscard]] int64_t ResidentCount(AsId as) const {
+    return HoldsSpace(as) ? spaces_[static_cast<size_t>(as)].resident : 0;
+  }
+  // The frame backing each vpage of `as`, indexed by vpage (kNoFrame: not
+  // resident). Pages past the end are not resident.
+  [[nodiscard]] std::span<const FrameId> PageFrames(AsId as) const {
+    if (!HoldsSpace(as)) {
+      return {};
+    }
+    return spaces_[static_cast<size_t>(as)].frames;
+  }
+  // The dirty set, one bit per frame (bit f % 64 of word f / 64). Frames
+  // past the end are clean.
+  [[nodiscard]] std::span<const uint64_t> dirty_words() const { return dirty_; }
 
   // Per-slow-tier reference model (memory-tiering extension): which (as,
   // vpage) each occupied tier frame holds with its carried dirty bit, plus
@@ -105,19 +134,55 @@ class VmOracle {
   [[nodiscard]] uint64_t rescues() const { return rescues_; }
 
  private:
+  // One address space: the frame backing each vpage, and how many do.
+  struct Space {
+    std::vector<FrameId> frames;
+    int64_t resident = 0;
+  };
+
   void Diverge(const VmHookEvent& event, const std::string& what);
-  [[nodiscard]] bool InFreeList(FrameId f) const;
+  // Make room for the hook's frame, or its (as, vpage), in the model's
+  // arrays; false (after a divergence) when the model cannot hold it.
+  [[nodiscard]] bool HoldFrame(const VmHookEvent& event);
+  [[nodiscard]] bool HoldPage(const VmHookEvent& event);
+  [[nodiscard]] bool HoldsSpace(AsId as) const {
+    return as >= 0 && static_cast<size_t>(as) < spaces_.size();
+  }
+
+  // Per-frame bits. Reads of frames the model does not hold see a clear bit;
+  // writes are only ever made to frames it holds.
+  [[nodiscard]] bool Test(const std::vector<uint64_t>& words, FrameId f) const {
+    return f >= 0 && f < num_frames_ &&
+           ((words[static_cast<size_t>(f) >> 6] >> (f & 63)) & 1) != 0;
+  }
+  static void Set(std::vector<uint64_t>& words, FrameId f) {
+    words[static_cast<size_t>(f) >> 6] |= uint64_t{1} << (f & 63);
+  }
+  static void Clear(std::vector<uint64_t>& words, FrameId f) {
+    words[static_cast<size_t>(f) >> 6] &= ~(uint64_t{1} << (f & 63));
+  }
+  [[nodiscard]] bool InFreeList(FrameId f) const { return Test(on_free_, f); }
+  // The address space whose page `f` backs, or kNoAs.
+  [[nodiscard]] AsId MappedBy(FrameId f) const {
+    return f >= 0 && f < num_frames_ ? owner_[static_cast<size_t>(f)] : kNoAs;
+  }
 
   // One deque per memory node. Default-constructed (unseeded) oracles model a
   // single node covering every frame, matching the historical flat list.
   std::vector<std::deque<FrameId>> free_ = std::vector<std::deque<FrameId>>(1);
   int64_t total_free_ = 0;
   int64_t frames_per_node_ = INT64_MAX;
-  std::map<AsId, std::map<VPage, FrameId>> resident_;
-  std::map<FrameId, std::pair<AsId, VPage>> mapped_;  // reverse of resident_
-  std::set<FrameId> dirty_;
-  std::set<FrameId> writeback_;                    // page-outs in flight
-  std::vector<TierModel> tiers_;                   // slow tiers, index = tier-1
+  std::vector<Space> spaces_;  // indexed by AsId
+
+  // Per-frame state, indexed by FrameId: frames [0, num_frames_) are held. A
+  // seeded model holds exactly the machine's frames; an unseeded one grows.
+  bool seeded_ = false;
+  int64_t num_frames_ = 0;
+  std::vector<AsId> owner_;         // kNoAs = unmapped
+  std::vector<uint64_t> on_free_;   // on a node's free list
+  std::vector<uint64_t> dirty_;
+  std::vector<uint64_t> writeback_;  // page-outs in flight
+  std::vector<TierModel> tiers_;     // slow tiers, index = tier-1
 
   int64_t maxrss_pages_ = 0;
   int64_t min_freemem_pages_ = 0;

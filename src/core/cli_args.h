@@ -1,17 +1,23 @@
-// Strict numeric command-line arguments for the bench binaries and the tools.
+// Strict command-line arguments for the bench binaries, the examples and the
+// tools.
 //
 // atoi/atof stop at the first bad character and strtoull wraps negatives, so
 // they read "2x" as 2 and "-1" as 2^64 - 1. The parsers here accept only a
-// whole number. The *Arg helpers also hold the value to the range its code
-// path supports; on bad input they exit with status 2 and a message naming
-// the flag.
+// whole number, and a version only as its whole label. The *Arg helpers also
+// hold the value to the range its code path supports; on bad input they exit
+// with status 2 and a message naming the flag.
 
 #ifndef TMH_SRC_CORE_CLI_ARGS_H_
 #define TMH_SRC_CORE_CLI_ARGS_H_
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+
+#include "src/core/experiment.h"
+#include "src/os/config.h"
 
 namespace tmh {
 
@@ -53,6 +59,43 @@ inline double NumberArg(const char* flag, const char* text, double lo, double hi
     std::exit(2);
   }
   return value;
+}
+
+// The fewest frames a scaled machine may keep. A scale multiplies the default
+// machine's user memory (MachineConfig{}: 4,800 frames of 16 KB), as the
+// benches and examples build it. Every bench and example completes on 4 such
+// frames. On 3, ablate_page_size's 64 KB pages leave its machine no frame and
+// that point never finishes; on 0 frames every run waits forever for one.
+inline constexpr int64_t kMinScaledFrames = 4;
+
+// `text`, the value given for `flag`, as a scale in (0, 1] that leaves the
+// scaled default machine at least kMinScaledFrames frames.
+inline double ScaleArg(const char* flag, const char* text) {
+  const double scale = NumberArg(flag, text, 0.0, 1.0, /*exclude_lo=*/true);
+  MachineConfig machine;
+  machine.user_memory_bytes =
+      static_cast<int64_t>(static_cast<double>(machine.user_memory_bytes) * scale);
+  if (machine.num_frames() < kMinScaledFrames) {
+    std::fprintf(stderr,
+                 "%s must leave the scaled machine at least %lld frames; got '%s', which "
+                 "leaves %lld\n",
+                 flag, static_cast<long long>(kMinScaledFrames), text,
+                 static_cast<long long>(machine.num_frames()));
+    std::exit(2);
+  }
+  return scale;
+}
+
+// `text`, the value given for `flag`, as one of the paper's four versions,
+// spelled whole as VersionLabel spells them: O, P, R or B.
+inline AppVersion VersionArg(const char* flag, const char* text) {
+  for (const AppVersion version : AllVersions()) {
+    if (std::strcmp(text, VersionLabel(version)) == 0) {
+      return version;
+    }
+  }
+  std::fprintf(stderr, "%s must be O, P, R or B; got '%s'\n", flag, text);
+  std::exit(2);
 }
 
 }  // namespace tmh

@@ -1,6 +1,6 @@
-// Strict numeric command-line arguments (src/core/cli_args.h): a value is
-// accepted only when all of it is one number inside the flag's range; any
-// other value exits 2 with a message naming the flag.
+// Strict command-line arguments (src/core/cli_args.h): a value is accepted
+// only when all of it is one number inside the flag's range, or one whole
+// version label; any other value exits 2 with a message naming the flag.
 
 #include "src/core/cli_args.h"
 
@@ -40,6 +40,31 @@ TEST(CliArgsTest, BadValuesExitTwoNamingTheFlag) {
   EXPECT_EXIT(NumberArg("--scale", "nan", 0.0, 1.0, /*exclude_lo=*/true), ExitedWithCode(2),
               "--scale must be");
   EXPECT_EXIT(NumberArg("--sleep", "inf", 0.0, 1e9), ExitedWithCode(2), "--sleep must be");
+}
+
+TEST(CliArgsTest, ScaleMustLeaveTheMachineItsMinimumFrames) {
+  using ::testing::ExitedWithCode;
+  // 4,800 default frames: 0.00084 leaves 4, 0.00063 leaves 3.
+  EXPECT_DOUBLE_EQ(ScaleArg("scale", "0.00084"), 0.00084);
+  EXPECT_DOUBLE_EQ(ScaleArg("scale", "1"), 1.0);
+  EXPECT_EXIT(ScaleArg("scale", "0.00063"), ExitedWithCode(2),
+              "scale must leave the scaled machine at least 4 frames; got '0.00063', which "
+              "leaves 3");
+  EXPECT_EXIT(ScaleArg("scale", "1e-9"), ExitedWithCode(2), "scale must leave");
+  EXPECT_EXIT(ScaleArg("scale", "0"), ExitedWithCode(2), "scale must be");
+  EXPECT_EXIT(ScaleArg("scale", "0.5x"), ExitedWithCode(2), "scale must be");
+}
+
+TEST(CliArgsTest, VersionIsOneWholeLabel) {
+  using ::testing::ExitedWithCode;
+  EXPECT_EQ(VersionArg("version", "O"), AppVersion::kOriginal);
+  EXPECT_EQ(VersionArg("version", "P"), AppVersion::kPrefetch);
+  EXPECT_EQ(VersionArg("version", "R"), AppVersion::kRelease);
+  EXPECT_EQ(VersionArg("version", "B"), AppVersion::kBuffered);
+  for (const char* bad : {"Bogus", "b", "", "BB", "V"}) {
+    EXPECT_EXIT(VersionArg("version", bad), ExitedWithCode(2), "version must be O, P, R or B")
+        << bad;
+  }
 }
 
 }  // namespace

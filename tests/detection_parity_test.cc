@@ -8,6 +8,10 @@
 // One case is deliberately new: a free-list link cycle. The earlier sweep
 // copied the links into a vector and never stopped appending; the bounded
 // walk must name the repeated frame instead.
+//
+// The four forged-hook cases pin the oracle's residency lines. They were
+// recorded on the three-pass sweep while it still merge-walked the model's
+// ordered resident map, before the model's state became dense arrays.
 
 #include <gtest/gtest.h>
 
@@ -239,6 +243,86 @@ TEST(DetectionParityTest, FreeHeadMovedToTheTailDivergesFromTheModel) {
   EXPECT_EQ(rig.CheckFirstLine(),
             "invariant oracle violated at t=164145000ns: "
             "node 0 free-list order differs from the reference model");
+}
+
+// The residency half of the oracle report. A forged hook moves the model's
+// page table away from the kernel's while every structural check still
+// passes, so the first line names the first page, or the address space's
+// count, where the two differ.
+VmHookEvent Forged(ParityRig& rig, VmHookOp op, VPage vpage, FrameId frame) {
+  VmHookEvent forged;
+  forged.when = rig.kernel().Now();
+  forged.op = op;
+  forged.as = rig.as().id();
+  forged.vpage = vpage;
+  forged.frame = frame;
+  return forged;
+}
+
+TEST(DetectionParityTest, ForgedUnmapLeavesTheModelOneResidentPageShort) {
+  ParityRig rig;
+  ASSERT_TRUE(rig.ready()) << rig.failure();
+  const VPage v = rig.FirstResident();
+  ASSERT_NE(v, kNoVPage);
+  rig.checker().OnVmEvent(Forged(rig, VmHookOp::kUnmap, v, rig.pte(v).frame));
+  ASSERT_TRUE(rig.checker().ok()) << rig.failure();
+  EXPECT_EQ(rig.CheckFirstLine(),
+            "invariant oracle violated at t=164145000ns: "
+            "as=0 resident count 6 differs from the model's 5");
+}
+
+TEST(DetectionParityTest, ForgedRemapToALaterPageIsReportedAtTheKernelsPage) {
+  ParityRig rig;
+  ASSERT_TRUE(rig.ready()) << rig.failure();
+  const VPage v = rig.FirstResident();
+  ASSERT_NE(v, kNoVPage);
+  const FrameId f = rig.pte(v).frame;
+  rig.checker().OnVmEvent(Forged(rig, VmHookOp::kUnmap, v, f));
+  rig.checker().OnVmEvent(Forged(rig, VmHookOp::kMap, 23, f));  // never touched
+  ASSERT_TRUE(rig.checker().ok()) << rig.failure();
+  EXPECT_EQ(rig.CheckFirstLine(),
+            "invariant oracle violated at t=164145000ns: "
+            "as=0 vpage=12 kernel frame 12 != model frame -1");
+}
+
+TEST(DetectionParityTest, ForgedRemapToAnEarlierPageIsReportedAtTheModelsPage) {
+  ParityRig rig;
+  ASSERT_TRUE(rig.ready()) << rig.failure();
+  const VPage v = rig.FirstResident();
+  const VPage linked = rig.FirstLinked();
+  ASSERT_NE(v, kNoVPage);
+  ASSERT_LT(linked, v);
+  const FrameId f = rig.pte(v).frame;
+  rig.checker().OnVmEvent(Forged(rig, VmHookOp::kUnmap, v, f));
+  rig.checker().OnVmEvent(Forged(rig, VmHookOp::kMap, linked, f));
+  ASSERT_TRUE(rig.checker().ok()) << rig.failure();
+  EXPECT_EQ(rig.CheckFirstLine(),
+            "invariant oracle violated at t=164145000ns: "
+            "as=0 vpage=1 kernel frame -1 != model frame 12");
+}
+
+TEST(DetectionParityTest, ForgedFrameSwapIsReportedAtTheFirstSwappedPage) {
+  ParityRig rig;
+  ASSERT_TRUE(rig.ready()) << rig.failure();
+  const VPage first = rig.FirstResident();
+  ASSERT_NE(first, kNoVPage);
+  VPage second = first + 1;
+  while (second < rig.as().num_pages() &&
+         !(rig.pte(second).resident &&
+           rig.pte(second).invalid_reason != InvalidReason::kReleasePending)) {
+    ++second;
+  }
+  ASSERT_LT(second, rig.as().num_pages());
+  const FrameId f1 = rig.pte(first).frame;
+  const FrameId f2 = rig.pte(second).frame;
+  rig.checker().OnVmEvent(Forged(rig, VmHookOp::kUnmap, first, f1));
+  rig.checker().OnVmEvent(Forged(rig, VmHookOp::kUnmap, second, f2));
+  rig.checker().OnVmEvent(Forged(rig, VmHookOp::kMap, first, f2));
+  rig.checker().OnVmEvent(Forged(rig, VmHookOp::kMap, second, f1));
+  ASSERT_TRUE(rig.checker().ok()) << rig.failure();
+  EXPECT_EQ(rig.CheckFirstLine(),
+            "invariant oracle violated at t=164145000ns: "
+            "as=0 vpage=12 kernel frame 12 != model frame 11");
 }
 
 TEST(DetectionParityTest, TieredPageNamingAnotherTierFrameIsITier) {
